@@ -113,6 +113,11 @@ else
   echo "bench ratchets: none ran (DD_BENCH_GATE_SKIP=1)"
 fi
 
+echo "=== perfbench zero-failure smoke (both workloads, traced) ==="
+# Short traced end-to-end runs: exit 0 alone does not pass; the result
+# must say "correct": true and "failed": 0 (see the script).
+./ci/perfbench_smoke.sh
+
 echo "=== tsan build + concurrency-focused ctest (thread) ==="
 # ThreadSanitizer over every test carrying the `concurrency` ctest label
 # (declared next to the test in tests/CMakeLists.txt, so a new

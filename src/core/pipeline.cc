@@ -41,8 +41,8 @@ void DeepDivePipeline::RegisterExtractor(Extractor extractor) {
 }
 
 Status DeepDivePipeline::AddDocument(std::string id, const std::string& text) {
-  for (const Document& doc : documents_) {
-    if (doc.id == id) return Status::AlreadyExists("duplicate document id: " + id);
+  if (!document_ids_.insert(id).second) {
+    return Status::AlreadyExists("duplicate document id: " + id);
   }
   documents_.push_back(AnnotateDocument(std::move(id), text, options_.html_documents));
   return Status::OK();

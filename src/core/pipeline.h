@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/calibration.h"
@@ -264,6 +265,7 @@ class DeepDivePipeline {
   UdfRegistry udfs_;
   std::vector<Extractor> extractors_;
   std::vector<Document> documents_;
+  std::unordered_set<std::string> document_ids_;  ///< ids in documents_
   size_t next_document_ = 0;  ///< first unprocessed document
   std::map<std::string, DeltaSet> queued_deltas_;
   std::unique_ptr<ThreadPool> pool_;  ///< phase scheduler + grounding morsels

@@ -241,6 +241,7 @@ Status DatalogEngine::EvaluateStratum(const std::vector<ConjunctiveRule>& rules,
                 out.push_back(RuleEvaluator::ProjectHead(rr.cr.rule->head,
                                                          rr.cr.cc, slots));
               });
+          DD_COUNTER_ADD("dd.query.head_tuples", out.size());
           return Status::OK();
         }));
 

@@ -1,8 +1,10 @@
 #include "query/evaluator.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/logging.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/thread_pool.h"
 
@@ -25,6 +27,7 @@ const JoinIndexCache::SharedIndex* JoinIndexCache::Get(
     }
     index->map[key_tuple].emplace_back(table->ref(id), 1);
   }
+  DD_COUNTER_ADD("dd.query.index_rows", table->size());
   const SharedIndex* out = index.get();
   cache_.emplace(std::move(key), std::move(index));
   return out;
@@ -158,25 +161,30 @@ const CompiledConjunction::Index& CompiledConjunction::GetIndex(size_t depth) co
   if (index.built) return index;
   const AtomPlan& plan = atoms_[depth];
   const Table* table = plan.source->backing_table();
-  if (index_cache_ != nullptr && table != nullptr) {
+  // Shared indexes read every column position directly; an atom whose
+  // arity differs from its table's matches nothing, as below.
+  if (index_cache_ != nullptr && table != nullptr &&
+      table->schema().num_columns() == plan.terms.size()) {
     index.shared = index_cache_->Get(table, plan.bound_positions);
     index.built = true;
     return index;
   }
+  uint64_t rows = 0;
   plan.source->ForEach([&](const RowRef& t, int64_t count) {
     if (t.size() != plan.terms.size()) return;  // arity mismatch: no match
     Tuple key;
     for (int pos : plan.bound_positions) key.Append(t.at(static_cast<size_t>(pos)));
     // The ref's storage (frozen table or delta-map key) outlives the index.
     index.map[key].emplace_back(t, count);
+    ++rows;
   });
+  DD_COUNTER_ADD("dd.query.index_rows", rows);
   index.built = true;
   return index;
 }
 
 void CompiledConjunction::Run(const BindingEmit& emit) const {
-  std::vector<Value> slots(slot_names_.size());
-  Recurse(0, slots, 1, emit);
+  RunMorsel(0, TopLevelSize(), emit);
 }
 
 void CompiledConjunction::PrepareIndexes() const {
@@ -210,18 +218,23 @@ size_t CompiledConjunction::TopLevelSize() const {
 void CompiledConjunction::RunMorsel(size_t begin, size_t end,
                                     const BindingEmit& emit) const {
   if (begin >= end) return;
+  // Bindings are counted here and added to the registry once per call.
+  uint64_t bindings = 0;
+  const BindingEmit counted = [&](const std::vector<Value>& slots, int64_t mult) {
+    ++bindings;
+    emit(slots, mult);
+  };
   std::vector<Value> slots(slot_names_.size());
   if (atoms_.empty() || atoms_[0].all_bound) {
     // Single indivisible unit: run fully for the morsel covering unit 0.
-    if (begin == 0) Recurse(0, slots, 1, emit);
-    return;
+    if (begin == 0) Recurse(0, slots, 1, counted);
+  } else if (const auto* rows = TopLevelRows(); rows != nullptr) {
+    end = std::min(end, rows->size());
+    for (size_t i = begin; i < end; ++i) {
+      TryRow(0, (*rows)[i].first, (*rows)[i].second, slots, 1, counted);
+    }
   }
-  const auto* rows = TopLevelRows();
-  if (rows == nullptr) return;
-  if (end > rows->size()) end = rows->size();
-  for (size_t i = begin; i < end; ++i) {
-    TryRow(0, (*rows)[i].first, (*rows)[i].second, slots, 1, emit);
-  }
+  DD_COUNTER_ADD("dd.query.bindings", bindings);
 }
 
 void CompiledConjunction::Recurse(size_t depth, std::vector<Value>& slots, int64_t mult,
@@ -365,17 +378,23 @@ Status RuleEvaluator::Evaluate(const ConjunctiveRule& rule,
             });
             return Status::OK();
           }));
+      uint64_t emitted = 0;
       for (const std::vector<Tuple>& buffer : buffers) {
         for (const Tuple& t : buffer) emit(t);
+        emitted += buffer.size();
       }
+      DD_COUNTER_ADD("dd.query.head_tuples", emitted);
       return Status::OK();
     }
   }
 
+  uint64_t emitted = 0;
   cc.Run([&](const std::vector<Value>& slots, int64_t mult) {
     (void)mult;  // set semantics over tables: always 1
     emit(ProjectHead(rule.head, cc, slots));
+    ++emitted;
   });
+  DD_COUNTER_ADD("dd.query.head_tuples", emitted);
   return Status::OK();
 }
 

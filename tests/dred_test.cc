@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "query/datalog.h"
@@ -7,6 +8,7 @@
 #include "query/rule.h"
 #include "storage/catalog.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dd {
 namespace {
@@ -195,10 +197,10 @@ struct RandomWorkloadParam {
   int num_ops;
 };
 
-class DredPropertyTest : public ::testing::TestWithParam<RandomWorkloadParam> {};
-
-TEST_P(DredPropertyTest, MatchesFullEvaluation) {
-  const auto param = GetParam();
+/// Runs the random workload with DRed at `threads` (tiny morsels so the
+/// ordered merges run) and checks the final derived tables against a
+/// from-scratch evaluation.
+void CheckRandomWorkload(const RandomWorkloadParam& param, size_t threads) {
   Rng rng(param.seed);
 
   Catalog inc_catalog;
@@ -218,7 +220,13 @@ TEST_P(DredPropertyTest, MatchesFullEvaluation) {
   rules[1].body.push_back({"R", {Term::Var("x"), Term::Var("y")}, false});
   rules[1].body.push_back({"Q", {Term::Var("x")}, true});
 
-  IncrementalEngine engine(&inc_catalog, rules);
+  std::unique_ptr<ThreadPool> pool;
+  EvalParallelism par;
+  if (threads > 1) {
+    pool = std::make_unique<ThreadPool>(threads);
+    par = EvalParallelism{pool.get(), 2};
+  }
+  IncrementalEngine engine(&inc_catalog, rules, par);
   ASSERT_TRUE(engine.Initialize().ok());
 
   const int64_t domain = 6;  // small domain to force collisions
@@ -257,8 +265,16 @@ TEST_P(DredPropertyTest, MatchesFullEvaluation) {
     std::set<Tuple> inc_set(inc_rows.begin(), inc_rows.end());
     std::set<Tuple> ref_set(ref_rows.begin(), ref_rows.end());
     EXPECT_EQ(inc_set, ref_set) << "relation " << rel << " diverged (seed "
-                                << param.seed << ")";
+                                << param.seed << ", " << threads << " threads)";
   }
+}
+
+class DredPropertyTest : public ::testing::TestWithParam<RandomWorkloadParam> {};
+
+TEST_P(DredPropertyTest, MatchesFullEvaluation) { CheckRandomWorkload(GetParam(), 1); }
+
+TEST_P(DredPropertyTest, MatchesFullEvaluationInParallel) {
+  for (size_t threads : {2, 4, 8}) CheckRandomWorkload(GetParam(), threads);
 }
 
 INSTANTIATE_TEST_SUITE_P(

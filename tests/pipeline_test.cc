@@ -141,6 +141,37 @@ TEST(PipelineTest, DuplicateDocumentRejected) {
             StatusCode::kAlreadyExists);
 }
 
+TEST(PipelineTest, DuplicateDocumentRejectedAfterRun) {
+  SpouseCorpusOptions corpus_opts;
+  corpus_opts.num_documents = 10;
+  SpouseCorpus corpus = GenerateSpouseCorpus(corpus_opts);
+  PipelineOptions options = FastOptions();
+  options.learn.epochs = 5;
+  options.inference.full_burn_in = 5;
+  options.inference.num_samples = 20;
+  DeepDivePipeline pipeline(options);
+  SpouseAppOptions app;
+  ASSERT_TRUE(pipeline.LoadProgram(SpouseDdlog(app)).ok());
+  pipeline.RegisterExtractor(MakeSpouseExtractor(app));
+  LoadSpouseKb(&pipeline, corpus, app);
+  for (const auto& [id, text] : corpus.documents) {
+    ASSERT_TRUE(pipeline.AddDocument(id, text).ok());
+  }
+  ASSERT_TRUE(pipeline.Run().ok());
+  EXPECT_EQ(pipeline.AddDocument(corpus.documents.front().first, "Other text.").code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(pipeline.AddDocument(corpus.documents.back().first, "Other text.").code(),
+            StatusCode::kAlreadyExists);
+  ASSERT_EQ(pipeline.documents().size(), corpus.documents.size());
+  // A new id is still taken, after every earlier document.
+  ASSERT_TRUE(pipeline.AddDocument("late", "Some text.").ok());
+  ASSERT_EQ(pipeline.documents().size(), corpus.documents.size() + 1);
+  EXPECT_EQ(pipeline.documents().back().id, "late");
+  for (size_t d = 0; d < corpus.documents.size(); ++d) {
+    EXPECT_EQ(pipeline.documents()[d].id, corpus.documents[d].first);
+  }
+}
+
 TEST(CalibrationTest, PerfectPredictionsCalibrate) {
   std::vector<double> probs;
   std::vector<int> truth;
