@@ -1,7 +1,6 @@
 #include "dist/shard.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -124,14 +123,6 @@ Status WriteShardCheckpoint(const ShardState& state) {
   return WriteGraphSnapshot(snap, state.assign.checkpoint_path);
 }
 
-Result<uint64_t> MetaU64(const GraphSnapshot& snap, const std::string& key) {
-  auto it = snap.meta.find(key);
-  if (it == snap.meta.end()) {
-    return Status::InvalidArgument("shard checkpoint missing meta key " + key);
-  }
-  return static_cast<uint64_t>(strtoull(it->second.c_str(), nullptr, 10));
-}
-
 /// Restore state from the checkpoint file. Any mismatch with the
 /// assignment (foreign shard, different subgraph, different seeds) is an
 /// error — resuming someone else's chains must fail loudly, not restart
@@ -145,28 +136,28 @@ Status RestoreShardCheckpoint(ShardState* state) {
                                    state->assign.checkpoint_path);
   }
   uint64_t value = 0;
-  DD_ASSIGN_OR_RETURN(value, MetaU64(snap, "shard"));
+  DD_ASSIGN_OR_RETURN(value, MetaU64(snap.meta, "shard"));
   if (value != state->assign.shard) {
     return Status::InvalidArgument(
         StrFormat("checkpoint belongs to shard %llu, this worker is shard %u",
                   static_cast<unsigned long long>(value), state->assign.shard));
   }
-  DD_ASSIGN_OR_RETURN(value, MetaU64(snap, "num_shards"));
+  DD_ASSIGN_OR_RETURN(value, MetaU64(snap.meta, "num_shards"));
   if (value != state->assign.num_shards) {
     return Status::InvalidArgument("checkpoint was written under a different "
                                    "shard count");
   }
-  DD_ASSIGN_OR_RETURN(value, MetaU64(snap, "graph_crc"));
+  DD_ASSIGN_OR_RETURN(value, MetaU64(snap.meta, "graph_crc"));
   if (value != state->graph_crc) {
     return Status::InvalidArgument(
         "checkpoint belongs to a different subgraph (fingerprint mismatch)");
   }
-  DD_ASSIGN_OR_RETURN(value, MetaU64(snap, "learn_seed"));
+  DD_ASSIGN_OR_RETURN(value, MetaU64(snap.meta, "learn_seed"));
   if (value != state->assign.learn_seed) {
     return Status::InvalidArgument("checkpoint was written with a different "
                                    "learning seed");
   }
-  DD_ASSIGN_OR_RETURN(value, MetaU64(snap, "inference_seed"));
+  DD_ASSIGN_OR_RETURN(value, MetaU64(snap.meta, "inference_seed"));
   if (value != state->assign.inference_seed) {
     return Status::InvalidArgument("checkpoint was written with a different "
                                    "inference seed");
@@ -176,19 +167,19 @@ Status RestoreShardCheckpoint(ShardState* state) {
         StrFormat("shard checkpoint has %zu weights, subgraph has %zu",
                   snap.weights.size(), state->graph.num_weights()));
   }
-  DD_ASSIGN_OR_RETURN(value, MetaU64(snap, "phase"));
+  DD_ASSIGN_OR_RETURN(value, MetaU64(snap.meta, "phase"));
   if (value != kPhaseLearn && value != kPhaseInfer) {
     return Status::InvalidArgument("shard checkpoint has an unknown phase");
   }
   state->phase = static_cast<uint32_t>(value);
-  DD_ASSIGN_OR_RETURN(value, MetaU64(snap, "next"));
+  DD_ASSIGN_OR_RETURN(value, MetaU64(snap.meta, "next"));
   state->next = static_cast<uint32_t>(value);
   auto lr = snap.meta.find("lr");
   if (lr == snap.meta.end()) {
     return Status::InvalidArgument("shard checkpoint missing lr");
   }
   DD_ASSIGN_OR_RETURN(state->lr, ParseExactDouble(lr->second));
-  DD_ASSIGN_OR_RETURN(state->done_sweeps, MetaU64(snap, "done_sweeps"));
+  DD_ASSIGN_OR_RETURN(state->done_sweeps, MetaU64(snap.meta, "done_sweeps"));
 
   for (uint32_t w = 0; w < state->graph.num_weights(); ++w) {
     state->graph.set_weight_value(w, snap.weights[w]);
@@ -208,7 +199,7 @@ Status RestoreShardCheckpoint(ShardState* state) {
           "infer-phase shard checkpoint must carry one chain");
     }
     uint64_t acc = 0;
-    DD_ASSIGN_OR_RETURN(acc, MetaU64(snap, "num_accumulated"));
+    DD_ASSIGN_OR_RETURN(acc, MetaU64(snap.meta, "num_accumulated"));
     DD_RETURN_IF_ERROR(state->chain->RestoreState(snap.chains[0], snap.counts,
                                                   acc, snap.rng_states[0]));
   }

@@ -11,6 +11,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "util/bytes.h"
 #include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "util/retry.h"
@@ -21,10 +22,6 @@ namespace dd {
 namespace {
 
 constexpr size_t kFrameHeaderBytes = 16;  // magic + type + payload_len
-
-void PutRaw(std::string* out, const void* p, size_t n) {
-  out->append(static_cast<const char*>(p), n);
-}
 
 Status SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
@@ -85,85 +82,6 @@ Status ParseEndpoint(const std::string& endpoint, std::string* tcp_host,
 }
 
 }  // namespace
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  memcpy(buf, &v, 4);
-  PutRaw(out, buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  memcpy(buf, &v, 8);
-  PutRaw(out, buf, 8);
-}
-
-void PutDouble(std::string* out, double v) {
-  uint64_t bits;
-  memcpy(&bits, &v, 8);
-  PutU64(out, bits);
-}
-
-void PutBytes(std::string* out, std::string_view bytes) {
-  PutU64(out, bytes.size());
-  PutRaw(out, bytes.data(), bytes.size());
-}
-
-Status WireCursor::Take(size_t n, const char** p) {
-  if (data_.size() - pos_ < n) {
-    return Status::Corruption(
-        StrFormat("wire payload truncated at offset %zu (need %zu bytes, "
-                  "have %zu)",
-                  pos_, n, data_.size() - pos_));
-  }
-  *p = data_.data() + pos_;
-  pos_ += n;
-  return Status::OK();
-}
-
-Status WireCursor::ReadU32(uint32_t* v) {
-  const char* p = nullptr;
-  DD_RETURN_IF_ERROR(Take(4, &p));
-  memcpy(v, p, 4);
-  return Status::OK();
-}
-
-Status WireCursor::ReadU64(uint64_t* v) {
-  const char* p = nullptr;
-  DD_RETURN_IF_ERROR(Take(8, &p));
-  memcpy(v, p, 8);
-  return Status::OK();
-}
-
-Status WireCursor::ReadDouble(double* v) {
-  uint64_t bits = 0;
-  DD_RETURN_IF_ERROR(ReadU64(&bits));
-  memcpy(v, &bits, 8);
-  return Status::OK();
-}
-
-Status WireCursor::ReadBytes(std::string* out) {
-  uint64_t n = 0;
-  DD_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > kWireMaxPayload) {
-    return Status::Corruption(
-        StrFormat("wire byte field claims %llu bytes (cap %llu)",
-                  static_cast<unsigned long long>(n),
-                  static_cast<unsigned long long>(kWireMaxPayload)));
-  }
-  const char* p = nullptr;
-  DD_RETURN_IF_ERROR(Take(static_cast<size_t>(n), &p));
-  out->assign(p, static_cast<size_t>(n));
-  return Status::OK();
-}
-
-Status WireCursor::ExpectEnd() const {
-  if (pos_ != data_.size()) {
-    return Status::Corruption(
-        StrFormat("wire payload has %zu trailing bytes", data_.size() - pos_));
-  }
-  return Status::OK();
-}
 
 WireConn::WireConn(WireConn&& other) noexcept : fd_(other.fd_) {
   other.fd_ = -1;
@@ -301,15 +219,14 @@ Status WireConn::SendFrame(uint32_t type, std::string_view payload,
     return Status::InvalidArgument(
         StrFormat("frame payload of %zu bytes exceeds cap", payload.size()));
   }
-  std::string wire;
-  wire.reserve(kFrameHeaderBytes + payload.size() + 4);
-  PutU32(&wire, kWireMagic);
-  PutU32(&wire, type);
-  PutU64(&wire, payload.size());
-  wire.append(payload.data(), payload.size());
+  ByteWriter frame;
+  frame.U32(kWireMagic);
+  frame.U32(type);
+  frame.U64(payload.size());
+  frame.Raw(payload);
   // CRC over type + payload_len + payload (everything after the magic).
-  const uint32_t crc = Crc32c(wire.data() + 4, wire.size() - 4);
-  PutU32(&wire, crc);
+  frame.U32(Crc32c(frame.str().data() + 4, frame.size() - 4));
+  const std::string& wire = frame.str();
 
   size_t written = 0;
   Status st = WriteAll(wire.data(), wire.size(), &written, deadline);
@@ -340,9 +257,10 @@ Result<Frame> WireConn::RecvFrame(const Deadline& deadline) {
   }
   uint32_t magic = 0, type = 0;
   uint64_t payload_len = 0;
-  memcpy(&magic, header, 4);
-  memcpy(&type, header + 4, 4);
-  memcpy(&payload_len, header + 8, 8);
+  ByteReader header_reader(std::string_view(header, sizeof(header)));
+  DD_RETURN_IF_ERROR(header_reader.U32(&magic, "frame magic"));
+  DD_RETURN_IF_ERROR(header_reader.U32(&type, "frame type"));
+  DD_RETURN_IF_ERROR(header_reader.U64(&payload_len, "frame payload length"));
   if (magic != kWireMagic) {
     return Status::Corruption(
         StrFormat("bad frame magic 0x%08x (want 0x%08x)", magic, kWireMagic));
@@ -376,7 +294,8 @@ Result<Frame> WireConn::RecvFrame(const Deadline& deadline) {
     return st;
   }
   uint32_t wire_crc = 0;
-  memcpy(&wire_crc, crc_buf, 4);
+  DD_RETURN_IF_ERROR(
+      ByteReader(std::string_view(crc_buf, 4)).U32(&wire_crc, "frame checksum"));
   uint32_t crc = Crc32c(header + 4, sizeof(header) - 4);
   crc = Crc32cExtend(crc, frame.payload.data(), frame.payload.size());
   if (crc != wire_crc) {

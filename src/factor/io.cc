@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +11,7 @@
 #include <string_view>
 
 #include "storage/snapshot.h"
+#include "util/bytes.h"
 #include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -44,7 +44,7 @@ std::string SerializeGraph(const FactorGraph& graph) {
   out += StrFormat("W %zu\n", graph.num_weights());
   for (uint32_t w = 0; w < graph.num_weights(); ++w) {
     const Weight& weight = graph.weight(w);
-    out += StrFormat("w %u %.17g %d %s\n", w, weight.value, weight.is_fixed ? 1 : 0,
+    out += StrFormat("w %u %.17g %d %s\n", w, graph.weight_value(w), weight.is_fixed ? 1 : 0,
                      weight.description.c_str());
   }
   out += StrFormat("F %zu\n", graph.num_factors());
@@ -167,87 +167,18 @@ constexpr char kMagic[4] = {'D', 'D', 'S', 'N'};
 constexpr uint32_t kSnapshotVersion = 1;
 constexpr char kEndTag[] = "END.";
 
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+/// Pad length that puts an aligned section's content, which follows the
+/// one-byte pad length and the pad, on an 8-aligned file offset.
+size_t AlignmentPad(size_t payload_offset) { return (8 - ((payload_offset + 1) & 7)) & 7; }
+
+/// The section CRC covers the tag, the u64 length and the payload.
+uint32_t SectionCrc(std::string_view tag, std::string_view payload) {
+  ByteWriter header;
+  header.Raw(tag);
+  header.U64(payload.size());
+  uint32_t crc = Crc32c(header.str().data(), header.size());
+  return Crc32cExtend(crc, payload.data(), payload.size());
 }
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void AppendDouble(std::string* out, double v) {
-  AppendU64(out, std::bit_cast<uint64_t>(v));
-}
-
-/// Bounds-checked sequential reader over a byte buffer. Every extraction
-/// verifies the remaining byte count and reports Status::Corruption with
-/// the offset on truncation — partial structs are never produced.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view buf) : buf_(buf) {}
-
-  size_t offset() const { return pos_; }
-  size_t remaining() const { return buf_.size() - pos_; }
-
-  Status ReadBytes(void* out, size_t n, const char* what) {
-    if (n > remaining()) {
-      return Status::Corruption(
-          StrFormat("truncated %s at offset %zu: need %zu bytes, have %zu", what,
-                    pos_, n, remaining()));
-    }
-    std::memcpy(out, buf_.data() + pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-
-  Status ReadString(std::string* out, size_t n, const char* what) {
-    if (n > remaining()) {
-      return Status::Corruption(
-          StrFormat("truncated %s at offset %zu: need %zu bytes, have %zu", what,
-                    pos_, n, remaining()));
-    }
-    out->assign(buf_.data() + pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-
-  Status Skip(size_t n, const char* what) {
-    if (n > remaining()) {
-      return Status::Corruption(
-          StrFormat("truncated %s at offset %zu: need %zu bytes, have %zu", what,
-                    pos_, n, remaining()));
-    }
-    pos_ += n;
-    return Status::OK();
-  }
-
-  Status ReadU32(uint32_t* out, const char* what) {
-    uint8_t b[4];
-    DD_RETURN_IF_ERROR(ReadBytes(b, 4, what));
-    *out = 0;
-    for (int i = 0; i < 4; ++i) *out |= static_cast<uint32_t>(b[i]) << (8 * i);
-    return Status::OK();
-  }
-
-  Status ReadU64(uint64_t* out, const char* what) {
-    uint8_t b[8];
-    DD_RETURN_IF_ERROR(ReadBytes(b, 8, what));
-    *out = 0;
-    for (int i = 0; i < 8; ++i) *out |= static_cast<uint64_t>(b[i]) << (8 * i);
-    return Status::OK();
-  }
-
-  Status ReadDouble(double* out, const char* what) {
-    uint64_t bits = 0;
-    DD_RETURN_IF_ERROR(ReadU64(&bits, what));
-    *out = std::bit_cast<double>(bits);
-    return Status::OK();
-  }
-
- private:
-  std::string_view buf_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -283,25 +214,35 @@ Result<std::string> ReadFileBytes(const std::string& path) {
 
 void SnapshotWriter::AddSection(const std::string& tag, std::string payload) {
   DD_CHECK(tag.size() == 4);
+  size_ += 12 + payload.size() + 4;
   sections_.emplace_back(tag, std::move(payload));
 }
 
+void SnapshotWriter::AddAlignedSection(const std::string& tag,
+                                       std::string_view content) {
+  // The payload starts after this section's 4-byte tag and u64 length.
+  const size_t pad = AlignmentPad(size_ + 12);
+  std::string payload;
+  payload.reserve(1 + pad + content.size());
+  payload.push_back(static_cast<char>(pad));
+  payload.append(pad, '\0');
+  payload.append(content);
+  AddSection(tag, std::move(payload));
+}
+
 std::string SnapshotWriter::Encode() const {
-  std::string out;
-  out.append(kMagic, 4);
-  AppendU32(&out, kSnapshotVersion);
-  auto append_section = [&out](const std::string& tag, const std::string& payload) {
-    std::string header = tag;
-    AppendU64(&header, payload.size());
-    uint32_t crc = Crc32c(header.data(), header.size());
-    crc = Crc32cExtend(crc, payload.data(), payload.size());
-    out += header;
-    out += payload;
-    AppendU32(&out, crc);
+  ByteWriter out;
+  out.Raw(std::string_view(kMagic, 4));
+  out.U32(kSnapshotVersion);
+  auto append_section = [&out](std::string_view tag, std::string_view payload) {
+    out.Raw(tag);
+    out.U64(payload.size());
+    out.Raw(payload);
+    out.U32(SectionCrc(tag, payload));
   };
   for (const auto& [tag, payload] : sections_) append_section(tag, payload);
   append_section(kEndTag, "");
-  return out;
+  return out.Take();
 }
 
 /// Durable write protocol shared by every snapshot producer: temp file,
@@ -352,107 +293,170 @@ Status SnapshotWriter::WriteFile(const std::string& path) const {
 
 Result<SnapshotView> SnapshotView::Parse(std::string_view bytes) {
   ByteReader r(bytes);
-  char magic[4];
-  DD_RETURN_IF_ERROR(r.ReadBytes(magic, 4, "snapshot magic"));
-  if (std::memcmp(magic, kMagic, 4) != 0) {
+  std::string_view magic;
+  DD_RETURN_IF_ERROR(r.Raw(4, &magic, "snapshot magic"));
+  if (magic != std::string_view(kMagic, 4)) {
     return Status::Corruption("bad magic: not a DDSN snapshot");
   }
   uint32_t version = 0;
-  DD_RETURN_IF_ERROR(r.ReadU32(&version, "snapshot version"));
+  DD_RETURN_IF_ERROR(r.U32(&version, "snapshot version"));
   if (version != kSnapshotVersion) {
     return Status::Corruption(StrFormat("unsupported snapshot version %u", version));
   }
 
   SnapshotView view;
   for (;;) {
-    size_t section_offset = r.offset();
-    std::string tag;
-    DD_RETURN_IF_ERROR(r.ReadString(&tag, 4, "section tag"));
+    const size_t section_offset = r.offset();
+    std::string_view tag;
+    DD_RETURN_IF_ERROR(r.Raw(4, &tag, "section tag"));
     uint64_t len = 0;
-    DD_RETURN_IF_ERROR(r.ReadU64(&len, "section length"));
+    DD_RETURN_IF_ERROR(r.U64(&len, "section length"));
     if (len > r.remaining()) {
       return Status::Corruption(
           StrFormat("section '%s' at offset %zu declares %llu payload bytes but "
                     "only %zu remain",
-                    tag.c_str(), section_offset,
+                    std::string(tag).c_str(), section_offset,
                     static_cast<unsigned long long>(len), r.remaining()));
     }
-    size_t payload_offset = r.offset();
-    std::string_view payload = bytes.substr(payload_offset,
-                                            static_cast<size_t>(len));
-    DD_RETURN_IF_ERROR(r.Skip(static_cast<size_t>(len), "section payload"));
+    const size_t payload_offset = r.offset();
+    std::string_view payload;
+    DD_RETURN_IF_ERROR(r.Raw(static_cast<size_t>(len), &payload, "section payload"));
     uint32_t stored_crc = 0;
-    DD_RETURN_IF_ERROR(r.ReadU32(&stored_crc, "section checksum"));
-    std::string header = tag;
-    AppendU64(&header, payload.size());
-    uint32_t computed = Crc32c(header.data(), header.size());
-    computed = Crc32cExtend(computed, payload.data(), payload.size());
+    DD_RETURN_IF_ERROR(r.U32(&stored_crc, "section checksum"));
+    const uint32_t computed = SectionCrc(tag, payload);
     if (computed != stored_crc) {
       return Status::Corruption(
           StrFormat("checksum mismatch in section '%s' at offset %zu "
                     "(stored %08x, computed %08x)",
-                    tag.c_str(), section_offset, stored_crc, computed));
+                    std::string(tag).c_str(), section_offset, stored_crc, computed));
     }
     if (tag == kEndTag) {
       if (len != 0) {
         return Status::Corruption("terminator section carries a payload");
       }
-      if (r.remaining() != 0) {
-        return Status::Corruption(StrFormat(
-            "%zu trailing bytes after terminator at offset %zu", r.remaining(),
-            r.offset()));
-      }
+      DD_RETURN_IF_ERROR(r.ExpectEnd("terminator"));
       break;
     }
-    if (view.sections_.count(tag) > 0) {
+    auto [it, inserted] =
+        view.sections_.emplace(std::string(tag), Span{payload_offset, payload});
+    if (!inserted) {
       return Status::Corruption(StrFormat("duplicate section '%s' at offset %zu",
-                                          tag.c_str(), section_offset));
+                                          it->first.c_str(), section_offset));
     }
-    view.sections_.emplace(tag, SectionSpan{payload_offset, payload});
   }
   return view;
 }
 
-Result<SectionSpan> SnapshotView::Section(const std::string& tag) const {
+Result<std::string_view> SnapshotView::Section(const std::string& tag) const {
   auto it = sections_.find(tag);
   if (it == sections_.end()) {
     return Status::NotFound("snapshot has no section '" + tag + "'");
   }
-  return it->second;
+  return it->second.payload;
 }
 
-Result<SnapshotReader> SnapshotReader::Parse(std::string bytes) {
-  DD_ASSIGN_OR_RETURN(SnapshotView view, SnapshotView::Parse(bytes));
-  SnapshotReader reader;
-  for (const auto& [tag, span] : view.sections()) {
-    reader.sections_.emplace(tag, std::string(span.payload));
-  }
-  return reader;
-}
-
-Result<SnapshotReader> SnapshotReader::ReadFile(const std::string& path) {
-  DD_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
-  return Parse(std::move(bytes));
-}
-
-Result<std::string> SnapshotReader::Section(const std::string& tag) const {
+Result<std::string_view> SnapshotView::AlignedSection(const std::string& tag) const {
   auto it = sections_.find(tag);
   if (it == sections_.end()) {
     return Status::NotFound("snapshot has no section '" + tag + "'");
   }
-  return it->second;
+  const Span& span = it->second;
+  ByteReader r(span.payload);
+  uint8_t pad = 0;
+  DD_RETURN_IF_ERROR(r.U8(&pad, "section pad length"));
+  const size_t expected = AlignmentPad(span.offset);
+  if (pad != expected) {
+    return Status::Corruption(
+        StrFormat("section '%s' pad length %u does not match file offset %zu "
+                  "(expected %zu)",
+                  tag.c_str(), pad, span.offset, expected));
+  }
+  std::string_view pad_bytes;
+  DD_RETURN_IF_ERROR(r.Raw(pad, &pad_bytes, "section pad"));
+  if (pad_bytes.find_first_not_of('\0') != std::string_view::npos) {
+    return Status::Corruption(StrFormat("nonzero pad byte in section '%s' at offset %zu",
+                                        tag.c_str(), span.offset));
+  }
+  return span.payload.substr(r.offset());
+}
+
+// ---- META ---------------------------------------------------------------
+
+std::string EncodeMeta(
+    const std::vector<std::pair<std::string, std::string>>& entries) {
+  std::string out;
+  for (const auto& [key, value] : entries) {
+    out += key;
+    out += '=';
+    out += value;
+    out += '\n';
+  }
+  return out;
+}
+
+Result<std::map<std::string, std::string>> ParseMeta(std::string_view payload) {
+  std::map<std::string, std::string> meta;
+  for (const std::string& line : Split(payload, '\n')) {
+    if (line.empty()) continue;
+    const size_t eq = line.find('=');
+    if (eq == std::string::npos) {
+      return Status::Corruption("META line without '=': " + line);
+    }
+    meta[line.substr(0, eq)] = line.substr(eq + 1);
+  }
+  return meta;
+}
+
+Result<uint64_t> MetaU64(const std::map<std::string, std::string>& meta,
+                         const std::string& key) {
+  auto it = meta.find(key);
+  if (it == meta.end()) {
+    return Status::Corruption("META missing key '" + key + "'");
+  }
+  if (it->second.empty() || !IsAllDigits(it->second)) {
+    return Status::Corruption("META key '" + key + "' is not a number: " +
+                              it->second);
+  }
+  errno = 0;
+  const uint64_t v = std::strtoull(it->second.c_str(), nullptr, 10);
+  if (errno != 0) {
+    return Status::Corruption("META key '" + key + "' out of range: " + it->second);
+  }
+  return v;
 }
 
 // ---- Typed graph snapshot ---------------------------------------------
 
 namespace {
 
-/// Decode-side guard: a section's payload must be consumed exactly.
-Status ExpectConsumed(const ByteReader& r, const char* tag) {
-  if (r.remaining() != 0) {
-    return Status::Corruption(StrFormat("%zu trailing bytes in section '%s'",
-                                        r.remaining(), tag));
+/// WGHT, CNTS, MRGN and RNGS: a u64 count, then exactly `count` records
+/// of `record_size` bytes.
+template <typename T, typename WriteRecord>
+void EncodeRecords(const char* tag, const std::vector<T>& records,
+                   WriteRecord write_record, SnapshotWriter* writer) {
+  if (records.empty()) return;
+  ByteWriter w;
+  w.U64(records.size());
+  for (const T& record : records) write_record(&w, record);
+  writer->AddSection(tag, w.Take());
+}
+
+template <typename T, typename ReadRecord>
+Status DecodeRecords(const SnapshotView& view, const char* tag, size_t record_size,
+                     ReadRecord read_record, std::vector<T>* records) {
+  if (!view.Has(tag)) return Status::OK();
+  DD_ASSIGN_OR_RETURN(std::string_view payload, view.Section(tag));
+  ByteReader r(payload);
+  uint64_t count = 0;
+  DD_RETURN_IF_ERROR(r.U64(&count, tag));
+  if (r.remaining() % record_size != 0 || count != r.remaining() / record_size) {
+    return Status::Corruption(StrFormat(
+        "%s declares %llu records of %zu bytes but carries %zu bytes at offset %zu",
+        tag, static_cast<unsigned long long>(count), record_size, r.remaining(),
+        r.offset()));
   }
+  records->resize(static_cast<size_t>(count));
+  for (T& record : *records) DD_RETURN_IF_ERROR(read_record(&r, &record));
   return Status::OK();
 }
 
@@ -460,216 +464,96 @@ Status ExpectConsumed(const ByteReader& r, const char* tag) {
 
 std::string EncodeGraphSnapshot(const GraphSnapshot& snapshot) {
   SnapshotWriter writer;
-  SectionLayout layout;
-  auto add_section = [&](const char* tag, std::string payload) {
-    layout.Add(payload.size());
-    writer.AddSection(tag, std::move(payload));
-  };
-  // Binary sections are pad-prefixed against their file offset so their
-  // content is 8-byte-aligned in the file (mmap readers get aligned
-  // arrays); the layout tracker must therefore see every section, in
-  // file order.
-  auto add_aligned = [&](const char* tag, std::string content) {
-    add_section(tag,
-                WithAlignmentPad(layout.NextPayloadOffset(), std::move(content)));
-  };
   if (snapshot.has_graph) {
-    if (snapshot.text_graph) {
-      add_section("GRPH", SerializeGraph(snapshot.graph));
-    } else {
-      StringPoolBuilder pool;
-      std::string grbn;
-      EncodeBinaryGraph(snapshot.graph, &pool, &grbn);
-      add_aligned("GRBN", std::move(grbn));
-      add_aligned("DICT", pool.EncodeContent());
-    }
+    StringPoolBuilder pool;
+    writer.AddAlignedSection("GRBN", EncodeBinaryGraph(snapshot.graph, &pool));
+    writer.AddAlignedSection("DICT", pool.EncodeContent());
   }
-  if (!snapshot.weights.empty()) {
-    std::string payload;
-    AppendU64(&payload, snapshot.weights.size());
-    for (double w : snapshot.weights) AppendDouble(&payload, w);
-    add_section("WGHT", std::move(payload));
-  }
+  EncodeRecords("WGHT", snapshot.weights,
+                [](ByteWriter* w, double v) { w->F64(v); }, &writer);
   if (!snapshot.chains.empty()) {
-    std::string payload;
-    AppendU64(&payload, snapshot.chains.size());
+    ByteWriter w;
+    w.U64(snapshot.chains.size());
     for (const auto& chain : snapshot.chains) {
-      AppendU64(&payload, chain.size());
-      payload.append(reinterpret_cast<const char*>(chain.data()), chain.size());
+      w.Bytes(std::string_view(reinterpret_cast<const char*>(chain.data()),
+                               chain.size()));
     }
-    add_section("CHNS", std::move(payload));
+    writer.AddSection("CHNS", w.Take());
   }
-  if (!snapshot.counts.empty()) {
-    std::string payload;
-    AppendU64(&payload, snapshot.counts.size());
-    for (uint64_t c : snapshot.counts) AppendU64(&payload, c);
-    add_section("CNTS", std::move(payload));
-  }
-  if (!snapshot.marginals.empty()) {
-    std::string payload;
-    AppendU64(&payload, snapshot.marginals.size());
-    for (double m : snapshot.marginals) AppendDouble(&payload, m);
-    add_section("MRGN", std::move(payload));
-  }
-  if (!snapshot.rng_states.empty()) {
-    std::string payload;
-    AppendU64(&payload, snapshot.rng_states.size());
-    for (const RngState& st : snapshot.rng_states) {
-      AppendU64(&payload, st.s0);
-      AppendU64(&payload, st.s1);
-    }
-    add_section("RNGS", std::move(payload));
-  }
+  EncodeRecords("CNTS", snapshot.counts,
+                [](ByteWriter* w, uint64_t c) { w->U64(c); }, &writer);
+  EncodeRecords("MRGN", snapshot.marginals,
+                [](ByteWriter* w, double m) { w->F64(m); }, &writer);
+  EncodeRecords("RNGS", snapshot.rng_states,
+                [](ByteWriter* w, const RngState& st) {
+                  w->U64(st.s0);
+                  w->U64(st.s1);
+                },
+                &writer);
   if (!snapshot.meta.empty()) {
-    std::string payload;
-    for (const auto& [key, value] : snapshot.meta) {
-      payload += key;
-      payload += '=';
-      payload += value;
-      payload += '\n';
-    }
-    add_section("META", std::move(payload));
+    writer.AddSection("META", EncodeMeta({snapshot.meta.begin(), snapshot.meta.end()}));
   }
   return writer.Encode();
 }
 
 Result<GraphSnapshot> DecodeGraphSnapshot(const std::string& bytes) {
-  DD_ASSIGN_OR_RETURN(SnapshotView reader, SnapshotView::Parse(bytes));
+  DD_ASSIGN_OR_RETURN(SnapshotView view, SnapshotView::Parse(bytes));
   GraphSnapshot snap;
 
-  if (reader.Has("GRBN")) {
-    // Binary graph + its string pool. Pads are validated against the
-    // sections' file offsets recorded by the container parse.
-    DD_ASSIGN_OR_RETURN(SectionSpan grbn_span, reader.Section("GRBN"));
-    Result<SectionSpan> dict_span = reader.Section("DICT");
-    if (!dict_span.ok()) {
+  if (view.Has("GRBN")) {
+    if (!view.Has("DICT")) {
       return Status::Corruption("GRBN section without its DICT string pool");
     }
-    DD_ASSIGN_OR_RETURN(
-        std::string_view dict_content,
-        StripAlignmentPad(dict_span->offset, dict_span->payload));
-    DD_ASSIGN_OR_RETURN(StringPoolView pool, StringPoolView::Parse(dict_content));
-    DD_ASSIGN_OR_RETURN(
-        std::string_view grbn_content,
-        StripAlignmentPad(grbn_span.offset, grbn_span.payload));
-    DD_ASSIGN_OR_RETURN(BinaryGraphView view,
-                        ParseBinaryGraph(grbn_content, pool));
-    DD_ASSIGN_OR_RETURN(snap.graph, GraphFromBinary(view, pool));
+    DD_ASSIGN_OR_RETURN(std::string_view dict, view.AlignedSection("DICT"));
+    DD_ASSIGN_OR_RETURN(StringPoolView pool, StringPoolView::Parse(dict));
+    DD_ASSIGN_OR_RETURN(std::string_view grbn, view.AlignedSection("GRBN"));
+    DD_ASSIGN_OR_RETURN(BinaryGraphView graph, ParseBinaryGraph(grbn, pool));
+    DD_ASSIGN_OR_RETURN(snap.graph, GraphFromBinary(graph, pool));
     snap.has_graph = true;
-    snap.text_graph = false;
-  } else if (reader.Has("GRPH")) {
-    DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("GRPH"));
-    Result<FactorGraph> graph = DeserializeGraph(std::string(span.payload));
-    if (!graph.ok()) {
-      // The payload passed its CRC, so a parse failure means the bytes
-      // were written wrong, not flipped — still corruption to a caller.
-      return Status::Corruption("GRPH section unparsable: " +
-                                graph.status().ToString());
-    }
-    snap.graph = std::move(*graph);
-    snap.has_graph = true;
-    snap.text_graph = true;
   }
-  if (reader.Has("WGHT")) {
-    DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("WGHT"));
-    ByteReader r(span.payload);
-    uint64_t count = 0;
-    DD_RETURN_IF_ERROR(r.ReadU64(&count, "WGHT count"));
-    if (r.remaining() % 8 != 0 || count != r.remaining() / 8) {
-      return Status::Corruption(StrFormat(
-          "WGHT declares %llu weights but carries %zu payload bytes",
-          static_cast<unsigned long long>(count), r.remaining()));
-    }
-    snap.weights.resize(static_cast<size_t>(count));
-    for (double& w : snap.weights) DD_RETURN_IF_ERROR(r.ReadDouble(&w, "weight"));
-    DD_RETURN_IF_ERROR(ExpectConsumed(r, "WGHT"));
-  }
-  if (reader.Has("CHNS")) {
-    DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("CHNS"));
-    ByteReader r(span.payload);
+  DD_RETURN_IF_ERROR(DecodeRecords(
+      view, "WGHT", 8, [](ByteReader* r, double* w) { return r->F64(w, "WGHT weight"); },
+      &snap.weights));
+  if (view.Has("CHNS")) {
+    DD_ASSIGN_OR_RETURN(std::string_view payload, view.Section("CHNS"));
+    ByteReader r(payload);
     uint64_t num_chains = 0;
-    DD_RETURN_IF_ERROR(r.ReadU64(&num_chains, "CHNS count"));
+    DD_RETURN_IF_ERROR(r.U64(&num_chains, "CHNS count"));
     // Each chain needs at least its 8-byte length prefix.
     if (num_chains > r.remaining() / 8) {
       return Status::Corruption(StrFormat("CHNS declares %llu chains in a %zu-byte "
                                           "payload",
                                           static_cast<unsigned long long>(num_chains),
-                                          span.payload.size()));
+                                          payload.size()));
     }
     snap.chains.resize(static_cast<size_t>(num_chains));
     for (auto& chain : snap.chains) {
-      uint64_t len = 0;
-      DD_RETURN_IF_ERROR(r.ReadU64(&len, "chain length"));
-      if (len > r.remaining()) {
-        return Status::Corruption(StrFormat(
-            "chain declares %llu bytes but only %zu remain in CHNS",
-            static_cast<unsigned long long>(len), r.remaining()));
+      std::string_view values;
+      DD_RETURN_IF_ERROR(r.Bytes(&values, "CHNS chain"));
+      if (values.find_first_not_of(std::string_view("\0\1", 2)) != std::string_view::npos) {
+        return Status::Corruption(
+            StrFormat("CHNS chain byte outside {0,1} before offset %zu", r.offset()));
       }
-      chain.resize(static_cast<size_t>(len));
-      DD_RETURN_IF_ERROR(r.ReadBytes(chain.data(), chain.size(), "chain bytes"));
-      for (uint8_t b : chain) {
-        if (b > 1) return Status::Corruption("chain byte outside {0,1}");
-      }
+      chain.assign(values.begin(), values.end());
     }
-    DD_RETURN_IF_ERROR(ExpectConsumed(r, "CHNS"));
+    DD_RETURN_IF_ERROR(r.ExpectEnd("CHNS"));
   }
-  if (reader.Has("CNTS")) {
-    DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("CNTS"));
-    ByteReader r(span.payload);
-    uint64_t count = 0;
-    DD_RETURN_IF_ERROR(r.ReadU64(&count, "CNTS count"));
-    if (r.remaining() % 8 != 0 || count != r.remaining() / 8) {
-      return Status::Corruption(StrFormat(
-          "CNTS declares %llu tallies but carries %zu payload bytes",
-          static_cast<unsigned long long>(count), r.remaining()));
-    }
-    snap.counts.resize(static_cast<size_t>(count));
-    for (uint64_t& c : snap.counts) DD_RETURN_IF_ERROR(r.ReadU64(&c, "tally"));
-    DD_RETURN_IF_ERROR(ExpectConsumed(r, "CNTS"));
-  }
-  if (reader.Has("MRGN")) {
-    DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("MRGN"));
-    ByteReader r(span.payload);
-    uint64_t count = 0;
-    DD_RETURN_IF_ERROR(r.ReadU64(&count, "MRGN count"));
-    if (r.remaining() % 8 != 0 || count != r.remaining() / 8) {
-      return Status::Corruption(StrFormat(
-          "MRGN declares %llu marginals but carries %zu payload bytes",
-          static_cast<unsigned long long>(count), r.remaining()));
-    }
-    snap.marginals.resize(static_cast<size_t>(count));
-    for (double& m : snap.marginals) {
-      DD_RETURN_IF_ERROR(r.ReadDouble(&m, "marginal"));
-    }
-    DD_RETURN_IF_ERROR(ExpectConsumed(r, "MRGN"));
-  }
-  if (reader.Has("RNGS")) {
-    DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("RNGS"));
-    ByteReader r(span.payload);
-    uint64_t count = 0;
-    DD_RETURN_IF_ERROR(r.ReadU64(&count, "RNGS count"));
-    if (r.remaining() % 16 != 0 || count != r.remaining() / 16) {
-      return Status::Corruption(StrFormat(
-          "RNGS declares %llu states but carries %zu payload bytes",
-          static_cast<unsigned long long>(count), r.remaining()));
-    }
-    snap.rng_states.resize(static_cast<size_t>(count));
-    for (RngState& st : snap.rng_states) {
-      DD_RETURN_IF_ERROR(r.ReadU64(&st.s0, "rng s0"));
-      DD_RETURN_IF_ERROR(r.ReadU64(&st.s1, "rng s1"));
-    }
-    DD_RETURN_IF_ERROR(ExpectConsumed(r, "RNGS"));
-  }
-  if (reader.Has("META")) {
-    DD_ASSIGN_OR_RETURN(SectionSpan span, reader.Section("META"));
-    for (const std::string& line : Split(std::string(span.payload), '\n')) {
-      if (line.empty()) continue;
-      size_t eq = line.find('=');
-      if (eq == std::string::npos) {
-        return Status::Corruption("META line without '=': " + line);
-      }
-      snap.meta[line.substr(0, eq)] = line.substr(eq + 1);
-    }
+  DD_RETURN_IF_ERROR(DecodeRecords(
+      view, "CNTS", 8, [](ByteReader* r, uint64_t* c) { return r->U64(c, "CNTS tally"); },
+      &snap.counts));
+  DD_RETURN_IF_ERROR(DecodeRecords(
+      view, "MRGN", 8, [](ByteReader* r, double* m) { return r->F64(m, "MRGN marginal"); },
+      &snap.marginals));
+  DD_RETURN_IF_ERROR(DecodeRecords(
+      view, "RNGS", 16,
+      [](ByteReader* r, RngState* st) {
+        DD_RETURN_IF_ERROR(r->U64(&st->s0, "RNGS s0"));
+        return r->U64(&st->s1, "RNGS s1");
+      },
+      &snap.rng_states));
+  if (view.Has("META")) {
+    DD_ASSIGN_OR_RETURN(std::string_view payload, view.Section("META"));
+    DD_ASSIGN_OR_RETURN(snap.meta, ParseMeta(payload));
   }
   return snap;
 }

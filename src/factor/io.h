@@ -4,6 +4,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "factor/graph.h"
@@ -34,15 +35,21 @@ Result<FactorGraph> DeserializeGraph(const std::string& text);
 
 /// ---- Crash-consistent binary snapshots --------------------------------
 ///
-/// Container format (all integers little-endian):
+/// Container format (all integers little-endian, util/bytes.h):
 ///   magic   "DDSN"             4 bytes
 ///   version u32                (currently 1)
 ///   repeated sections:
-///     tag          4 ASCII bytes  (e.g. "GRPH")
+///     tag          4 ASCII bytes  (e.g. "GRBN")
 ///     payload_len  u64
 ///     payload      payload_len bytes
 ///     crc32c       u32            over tag + payload_len + payload
 ///   terminator: a section with tag "END." and payload_len 0
+///
+/// An aligned section's payload is [u8 pad_len][pad_len zero bytes]
+/// [content], with pad_len chosen so the content starts at a file offset
+/// divisible by 8: an mmap of the file (page-aligned base) then exposes
+/// 8-byte-aligned arrays. SnapshotWriter places the pad itself and
+/// SnapshotView::AlignedSection validates and strips it.
 ///
 /// Every read is bounds-checked; truncation, bit flips, and length
 /// overruns are detected (magic/version check, per-section CRC32C that
@@ -57,6 +64,8 @@ class SnapshotWriter {
   /// Append a section. `tag` must be exactly 4 ASCII characters and
   /// unique within the snapshot.
   void AddSection(const std::string& tag, std::string payload);
+  /// Append a section whose content starts at an 8-aligned file offset.
+  void AddAlignedSection(const std::string& tag, std::string_view content);
 
   /// Serialize the container to bytes (in-memory path, used by tests).
   std::string Encode() const;
@@ -66,23 +75,13 @@ class SnapshotWriter {
 
  private:
   std::vector<std::pair<std::string, std::string>> sections_;
-};
-
-/// One section located inside a container buffer. `offset` is the byte
-/// position of the payload within the *file* (after the 12-byte tag+len
-/// header) — binary sections use it to validate their alignment padding,
-/// which is computed against file offsets so that an mmap of the file
-/// (page-aligned base) yields 8-byte-aligned section contents.
-struct SectionSpan {
-  size_t offset = 0;
-  std::string_view payload;
+  size_t size_ = 8;  // encoded bytes so far: header plus every section
 };
 
 /// Zero-copy container index: validates the full container (magic,
 /// version, per-section CRC32C, terminator, no trailing bytes) and hands
 /// out string_views into the caller's buffer. The buffer must outlive the
-/// view. SnapshotReader below is the owning convenience wrapper;
-/// MappedSnapshot (storage/snapshot.h) parses mmap'ed files with this.
+/// view; MappedSnapshot (storage/snapshot.h) parses mmap'ed files with it.
 class SnapshotView {
  public:
   /// Any structural defect yields Status::Corruption (with offset),
@@ -90,51 +89,45 @@ class SnapshotView {
   static Result<SnapshotView> Parse(std::string_view bytes);
 
   bool Has(const std::string& tag) const { return sections_.count(tag) > 0; }
-  Result<SectionSpan> Section(const std::string& tag) const;
-  const std::map<std::string, SectionSpan>& sections() const { return sections_; }
+  /// The payload of section `tag`; NotFound if absent.
+  Result<std::string_view> Section(const std::string& tag) const;
+  /// The content of aligned section `tag`, its pad validated against the
+  /// section's file offset and stripped; Corruption on a bad pad.
+  Result<std::string_view> AlignedSection(const std::string& tag) const;
 
  private:
-  std::map<std::string, SectionSpan> sections_;
+  struct Span {
+    size_t offset = 0;  // file offset of the payload
+    std::string_view payload;
+  };
+  std::map<std::string, Span> sections_;
 };
 
-class SnapshotReader {
- public:
-  /// Validate a container and index its sections (copies payloads; use
-  /// SnapshotView to stay zero-copy). Any structural defect yields
-  /// Status::Corruption (with offset), never a crash.
-  static Result<SnapshotReader> Parse(std::string bytes);
-
-  /// Read `path` fully (checked I/O) and Parse.
-  static Result<SnapshotReader> ReadFile(const std::string& path);
-
-  bool Has(const std::string& tag) const { return sections_.count(tag) > 0; }
-  Result<std::string> Section(const std::string& tag) const;
-  const std::map<std::string, std::string>& sections() const { return sections_; }
-
- private:
-  std::map<std::string, std::string> sections_;
-};
+/// ---- META sections ----------------------------------------------------
+///
+/// META payloads are `key=value` lines. The encoder keeps the order it is
+/// given; the parser splits each non-empty line at its first '='.
+std::string EncodeMeta(const std::vector<std::pair<std::string, std::string>>& entries);
+Result<std::map<std::string, std::string>> ParseMeta(std::string_view payload);
+/// The decimal value of `key`. Corruption when the key is missing, empty,
+/// holds anything but digits or overflows a u64.
+Result<uint64_t> MetaU64(const std::map<std::string, std::string>& meta,
+                         const std::string& key);
 
 /// ---- Typed snapshot of pipeline/learning/inference state --------------
 ///
 /// One container carries any subset of:
-///   GRBN  factor graph, binary columnar format (default; 8-byte-aligned
-///         arrays readable in place — see storage/snapshot.h)
-///   DICT  string pool for GRBN weight descriptions
-///   GRPH  factor graph (text format above; the debugging oracle —
-///         written when text_graph is set, always readable)
+///   GRBN  factor graph, binary columnar format (aligned; readable in
+///         place — see storage/snapshot.h)
+///   DICT  string pool for GRBN weight descriptions (aligned)
 ///   WGHT  dense weight vector (overrides the graph's weights)
 ///   CHNS  per-chain variable assignments (one byte per variable)
 ///   CNTS  per-variable marginal tallies (u64)
 ///   MRGN  marginal probabilities (doubles)
 ///   RNGS  RNG states (s0, s1 pairs)
-///   META  key=value lines (epoch counters, seeds, learning rate, ...)
+///   META  key=value lines in key order (epoch counters, seeds, ...)
 struct GraphSnapshot {
   bool has_graph = false;
-  /// Encode the graph as the line-oriented ddfg text (GRPH) instead of
-  /// the binary GRBN+DICT sections. Decode sets this to whichever form
-  /// the file carried, so decode→encode round-trips are byte-exact.
-  bool text_graph = false;
   FactorGraph graph;
   std::vector<double> weights;
   std::vector<std::vector<uint8_t>> chains;

@@ -1,7 +1,7 @@
 #include "inference/incremental.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 
 #include "factor/io.h"
 #include "inference/gibbs.h"
@@ -100,23 +100,23 @@ Status IncrementalInference::TryRestoreSampling(GibbsSampler* sampler,
         "checkpoint is not a sampling-materialization snapshot: " +
         options_.checkpoint_path);
   }
-  auto seed = snap.meta.find("seed");
-  if (seed == snap.meta.end() ||
-      std::strtoull(seed->second.c_str(), nullptr, 10) != options_.seed) {
+  DD_ASSIGN_OR_RETURN(uint64_t seed, MetaU64(snap.meta, "seed"));
+  if (seed != options_.seed) {
     return Status::InvalidArgument(
         "sampling checkpoint was written with a different seed");
   }
-  auto sweeps = snap.meta.find("sweeps");
-  auto accumulated = snap.meta.find("num_accumulated");
-  if (sweeps == snap.meta.end() || accumulated == snap.meta.end() ||
-      snap.chains.size() != 1 || snap.rng_states.size() != 1) {
+  if (snap.chains.size() != 1 || snap.rng_states.size() != 1) {
     return Status::InvalidArgument("sampling checkpoint missing chain state");
   }
-  DD_RETURN_IF_ERROR(sampler->RestoreState(
-      snap.chains[0], snap.counts,
-      std::strtoull(accumulated->second.c_str(), nullptr, 10),
-      snap.rng_states[0]));
-  *sweeps_done = std::atoi(sweeps->second.c_str());
+  DD_ASSIGN_OR_RETURN(uint64_t sweeps, MetaU64(snap.meta, "sweeps"));
+  DD_ASSIGN_OR_RETURN(uint64_t accumulated, MetaU64(snap.meta, "num_accumulated"));
+  if (sweeps > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return Status::Corruption(StrFormat("sampling checkpoint sweeps %llu out of range",
+                                        static_cast<unsigned long long>(sweeps)));
+  }
+  DD_RETURN_IF_ERROR(sampler->RestoreState(snap.chains[0], snap.counts, accumulated,
+                                           snap.rng_states[0]));
+  *sweeps_done = static_cast<int>(sweeps);
   return Status::OK();
 }
 

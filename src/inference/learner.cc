@@ -1,7 +1,7 @@
 #include "inference/learner.h"
 
 #include <cmath>
-#include <cstdlib>
+#include <limits>
 
 #include "factor/io.h"
 #include "inference/gibbs.h"
@@ -51,9 +51,8 @@ Status RestoreLearnerCheckpoint(const LearnOptions& options, FactorGraph* graph,
   if (kind == snap.meta.end() || kind->second != kSnapshotKind) {
     return Status::InvalidArgument("snapshot is not a learner checkpoint");
   }
-  auto seed = snap.meta.find("seed");
-  if (seed == snap.meta.end() ||
-      std::strtoull(seed->second.c_str(), nullptr, 10) != options.seed) {
+  DD_ASSIGN_OR_RETURN(uint64_t seed, MetaU64(snap.meta, "seed"));
+  if (seed != options.seed) {
     return Status::InvalidArgument(
         "learner checkpoint was written with a different seed");
   }
@@ -66,10 +65,14 @@ Status RestoreLearnerCheckpoint(const LearnOptions& options, FactorGraph* graph,
     return Status::InvalidArgument(
         "learner checkpoint must carry exactly two chains and RNG states");
   }
-  auto epoch = snap.meta.find("epoch");
+  DD_ASSIGN_OR_RETURN(uint64_t epoch, MetaU64(snap.meta, "epoch"));
+  if (epoch > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+    return Status::Corruption(StrFormat("learner checkpoint epoch %llu out of range",
+                                        static_cast<unsigned long long>(epoch)));
+  }
   auto lr_meta = snap.meta.find("lr");
-  if (epoch == snap.meta.end() || lr_meta == snap.meta.end()) {
-    return Status::InvalidArgument("learner checkpoint missing epoch/lr metadata");
+  if (lr_meta == snap.meta.end()) {
+    return Status::InvalidArgument("learner checkpoint missing lr metadata");
   }
   for (uint32_t w = 0; w < graph->num_weights(); ++w) {
     graph->set_weight_value(w, snap.weights[w]);
@@ -78,7 +81,7 @@ Status RestoreLearnerCheckpoint(const LearnOptions& options, FactorGraph* graph,
       positive->RestoreState(snap.chains[0], {}, 0, snap.rng_states[0]));
   DD_RETURN_IF_ERROR(
       negative->RestoreState(snap.chains[1], {}, 0, snap.rng_states[1]));
-  *start_epoch = std::atoi(epoch->second.c_str());
+  *start_epoch = static_cast<int>(epoch);
   DD_ASSIGN_OR_RETURN(*lr, ParseExactDouble(lr_meta->second));
   return Status::OK();
 }

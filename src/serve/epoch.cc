@@ -5,109 +5,16 @@
 
 #include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "factor/io.h"
 #include "storage/column.h"
+#include "util/bytes.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace dd {
-
-namespace {
-
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void AppendDouble(std::string* out, double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, 8);
-  AppendU64(out, bits);
-}
-
-/// Bounds-checked little-endian cursor over a section's content.
-class Cursor {
- public:
-  explicit Cursor(std::string_view content) : content_(content) {}
-
-  size_t pos() const { return pos_; }
-  size_t remaining() const { return content_.size() - pos_; }
-
-  Status Need(size_t n, const char* what) {
-    if (remaining() < n) {
-      return Status::Corruption(
-          StrFormat("epoch section truncated reading %s at offset %zu "
-                    "(need %zu bytes, have %zu)",
-                    what, pos_, n, remaining()));
-    }
-    return Status::OK();
-  }
-
-  Status ReadU64(uint64_t* v, const char* what) {
-    DD_RETURN_IF_ERROR(Need(8, what));
-    std::memcpy(v, content_.data() + pos_, 8);
-    pos_ += 8;
-    return Status::OK();
-  }
-
-  Status Skip(size_t n, const char* what) {
-    DD_RETURN_IF_ERROR(Need(n, what));
-    pos_ += n;
-    return Status::OK();
-  }
-
- private:
-  std::string_view content_;
-  size_t pos_ = 0;
-};
-
-Result<std::map<std::string, std::string>> ParseMetaLines(
-    std::string_view content) {
-  std::map<std::string, std::string> kv;
-  for (const std::string& line : Split(content, '\n')) {
-    std::string_view t = Trim(line);
-    if (t.empty()) continue;
-    size_t eq = t.find('=');
-    if (eq == std::string_view::npos) {
-      return Status::Corruption("epoch META line without '=': " +
-                                std::string(t));
-    }
-    kv[std::string(t.substr(0, eq))] = std::string(t.substr(eq + 1));
-  }
-  return kv;
-}
-
-Result<uint64_t> MetaU64(const std::map<std::string, std::string>& kv,
-                         const std::string& key) {
-  auto it = kv.find(key);
-  if (it == kv.end()) {
-    return Status::Corruption("epoch META missing key '" + key + "'");
-  }
-  if (it->second.empty() || !IsAllDigits(it->second)) {
-    return Status::Corruption("epoch META key '" + key +
-                              "' is not a number: " + it->second);
-  }
-  errno = 0;
-  uint64_t v = std::strtoull(it->second.c_str(), nullptr, 10);
-  if (errno != 0) {
-    return Status::Corruption("epoch META key '" + key +
-                              "' out of range: " + it->second);
-  }
-  return v;
-}
-
-}  // namespace
 
 // ---- Encoding -----------------------------------------------------------
 
@@ -120,54 +27,33 @@ std::string EncodeEpochSnapshot(const FactorGraph& graph,
   DD_CHECK(vars.size() == n);
 
   SnapshotWriter writer;
-  SectionLayout layout;
-  auto add_section = [&](const char* tag, std::string payload) {
-    layout.Add(payload.size());
-    writer.AddSection(tag, std::move(payload));
-  };
-  auto add_aligned = [&](const char* tag, std::string content) {
-    add_section(tag,
-                WithAlignmentPad(layout.NextPayloadOffset(), std::move(content)));
-  };
-
-  std::string meta;
-  meta += "kind=serving-epoch\n";
-  meta += StrFormat("epoch=%llu\n", static_cast<unsigned long long>(epoch_id));
-  meta += StrFormat("variables=%zu\n", n);
-  add_section("META", std::move(meta));
+  writer.AddSection(
+      "META", EncodeMeta({{"kind", "serving-epoch"},
+                          {"epoch", StrFormat("%llu", static_cast<unsigned long long>(epoch_id))},
+                          {"variables", StrFormat("%zu", n)}}));
 
   StringPoolBuilder pool;
-  std::string grbn;
-  EncodeBinaryGraph(graph, &pool, &grbn);
-  add_aligned("GRBN", std::move(grbn));
+  writer.AddAlignedSection("GRBN", EncodeBinaryGraph(graph, &pool));
 
   // VARS: count, liveness words, relation pool ids, pad, row ids.
-  std::string vars_content;
-  AppendU64(&vars_content, n);
+  ByteWriter vars_content;
+  vars_content.U64(n);
   Bitmap live;
   for (const EpochVarEntry& e : vars) live.PushBack(e.live);
-  for (size_t w = 0; w < Bitmap::WordsFor(n); ++w) {
-    AppendU64(&vars_content, live.words()[w]);
-  }
-  for (const EpochVarEntry& e : vars) {
-    AppendU32(&vars_content, pool.IdFor(e.relation));
-  }
-  while (vars_content.size() % 8 != 0) vars_content.push_back('\0');
-  for (const EpochVarEntry& e : vars) {
-    AppendU64(&vars_content, static_cast<uint64_t>(e.row));
-  }
-  add_aligned("VARS", std::move(vars_content));
+  for (size_t w = 0; w < Bitmap::WordsFor(n); ++w) vars_content.U64(live.words()[w]);
+  for (const EpochVarEntry& e : vars) vars_content.U32(pool.IdFor(e.relation));
+  vars_content.Pad8();
+  for (const EpochVarEntry& e : vars) vars_content.U64(static_cast<uint64_t>(e.row));
+  writer.AddAlignedSection("VARS", vars_content.str());
 
   // PROB: count, doubles.
-  std::string prob;
-  AppendU64(&prob, n);
-  for (double m : marginals) AppendDouble(&prob, m);
-  add_aligned("PROB", std::move(prob));
+  ByteWriter prob;
+  prob.U64(n);
+  for (double m : marginals) prob.F64(m);
+  writer.AddAlignedSection("PROB", prob.str());
 
-  // DICT last: GRBN and VARS both intern into the shared pool, and the
-  // pad prefix depends on the file offset, so it must be appended after
-  // every section that references it.
-  add_aligned("DICT", pool.EncodeContent());
+  // DICT last: GRBN and VARS both intern into the shared pool.
+  writer.AddAlignedSection("DICT", pool.EncodeContent());
 
   return writer.Encode();
 }
@@ -185,8 +71,8 @@ Result<ServingEpoch> ServingEpoch::Load(const std::string& path) {
 
   // META first: reject files that are valid containers but not epochs
   // (e.g. a catalog snapshot dropped into the epoch directory).
-  DD_ASSIGN_OR_RETURN(SectionSpan meta_span, view.Section("META"));
-  DD_ASSIGN_OR_RETURN(auto meta, ParseMetaLines(meta_span.payload));
+  DD_ASSIGN_OR_RETURN(std::string_view meta_payload, view.Section("META"));
+  DD_ASSIGN_OR_RETURN(auto meta, ParseMeta(meta_payload));
   auto kind = meta.find("kind");
   if (kind == meta.end() || kind->second != "serving-epoch") {
     return Status::Corruption("snapshot is not a serving epoch (kind=" +
@@ -209,13 +95,11 @@ Result<ServingEpoch> ServingEpoch::Load(const std::string& path) {
   epoch.num_vars_ = static_cast<size_t>(n);
 
   // VARS.
-  DD_ASSIGN_OR_RETURN(SectionSpan vars_span, view.Section("VARS"));
-  DD_ASSIGN_OR_RETURN(epoch.vars_content_,
-                      StripAlignmentPad(vars_span.offset, vars_span.payload));
+  DD_ASSIGN_OR_RETURN(epoch.vars_content_, view.AlignedSection("VARS"));
   {
-    Cursor c(epoch.vars_content_);
+    ByteReader r(epoch.vars_content_);
     uint64_t count = 0;
-    DD_RETURN_IF_ERROR(c.ReadU64(&count, "VARS count"));
+    DD_RETURN_IF_ERROR(r.U64(&count, "VARS count"));
     if (count != n) {
       return Status::Corruption(
           StrFormat("VARS count %llu does not match graph variables %llu",
@@ -223,8 +107,7 @@ Result<ServingEpoch> ServingEpoch::Load(const std::string& path) {
                     static_cast<unsigned long long>(n)));
     }
     const size_t words = Bitmap::WordsFor(count);
-    epoch.live_off_ = c.pos();
-    DD_RETURN_IF_ERROR(c.Skip(8 * words, "VARS liveness words"));
+    DD_RETURN_IF_ERROR(r.Array(8, words, &epoch.live_off_, "VARS liveness words"));
     // Bits past the last variable must be zero so liveness scans can
     // trust whole words.
     if (count % 64 != 0 && words > 0) {
@@ -236,44 +119,26 @@ Result<ServingEpoch> ServingEpoch::Load(const std::string& path) {
         return Status::Corruption("VARS liveness has bits set past count");
       }
     }
-    epoch.rel_off_ = c.pos();
-    DD_RETURN_IF_ERROR(c.Skip(4 * count, "VARS relation ids"));
-    size_t pad = (8 - (c.pos() % 8)) % 8;
-    DD_RETURN_IF_ERROR(c.Need(pad, "VARS row-id pad"));
-    for (size_t i = 0; i < pad; ++i) {
-      if (epoch.vars_content_[c.pos() + i] != '\0') {
-        return Status::Corruption("VARS row-id pad bytes must be zero");
-      }
-    }
-    DD_RETURN_IF_ERROR(c.Skip(pad, "VARS row-id pad"));
-    epoch.row_off_ = c.pos();
-    DD_RETURN_IF_ERROR(c.Skip(8 * count, "VARS row ids"));
-    if (c.remaining() != 0) {
-      return Status::Corruption(
-          StrFormat("VARS has %zu trailing bytes", c.remaining()));
-    }
+    DD_RETURN_IF_ERROR(r.Array(4, count, &epoch.rel_off_, "VARS relation ids"));
+    DD_RETURN_IF_ERROR(r.Pad8("VARS row-id"));
+    DD_RETURN_IF_ERROR(r.Array(8, count, &epoch.row_off_, "VARS row ids"));
+    DD_RETURN_IF_ERROR(r.ExpectEnd("VARS"));
   }
 
   // PROB.
-  DD_ASSIGN_OR_RETURN(SectionSpan prob_span, view.Section("PROB"));
-  DD_ASSIGN_OR_RETURN(epoch.prob_content_,
-                      StripAlignmentPad(prob_span.offset, prob_span.payload));
+  DD_ASSIGN_OR_RETURN(epoch.prob_content_, view.AlignedSection("PROB"));
   {
-    Cursor c(epoch.prob_content_);
+    ByteReader r(epoch.prob_content_);
     uint64_t count = 0;
-    DD_RETURN_IF_ERROR(c.ReadU64(&count, "PROB count"));
+    DD_RETURN_IF_ERROR(r.U64(&count, "PROB count"));
     if (count != n) {
       return Status::Corruption(
           StrFormat("PROB count %llu does not match graph variables %llu",
                     static_cast<unsigned long long>(count),
                     static_cast<unsigned long long>(n)));
     }
-    epoch.prob_off_ = c.pos();
-    DD_RETURN_IF_ERROR(c.Skip(8 * count, "PROB marginals"));
-    if (c.remaining() != 0) {
-      return Status::Corruption(
-          StrFormat("PROB has %zu trailing bytes", c.remaining()));
-    }
+    DD_RETURN_IF_ERROR(r.Array(8, count, &epoch.prob_off_, "PROB marginals"));
+    DD_RETURN_IF_ERROR(r.ExpectEnd("PROB"));
   }
 
   // Semantic validation + index build in one pass over the variables.

@@ -31,10 +31,10 @@ namespace dd {
 ///   DICT  string pool shared by GRBN weight descriptions and VARS
 ///         relation names
 ///
-/// VARS and PROB use the same 1-byte-pad alignment protocol as the other
-/// binary sections, so a MappedSnapshot exposes them as 8-aligned arrays
-/// readable in place: loading an epoch validates everything but
-/// materializes only the (relation, row) -> variable index.
+/// GRBN, VARS, PROB and DICT are aligned sections (factor/io.h), so a
+/// MappedSnapshot exposes them as 8-aligned arrays readable in place:
+/// loading an epoch validates everything but materializes only the
+/// (relation, row) -> variable index.
 
 /// One variable's database identity, supplied by the publisher.
 struct EpochVarEntry {

@@ -5,22 +5,17 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <bit>
 #include <cstring>
 #include <functional>
 #include <utility>
 
 #include "storage/tuple.h"
+#include "util/bytes.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace dd {
-
-// Typed array accessors memcpy little-endian words straight out of the
-// file image; on a big-endian host every word would need a byte swap.
-static_assert(std::endian::native == std::endian::little,
-              "binary snapshot reader assumes a little-endian host");
 
 namespace {
 
@@ -28,129 +23,7 @@ constexpr uint8_t kMaxTypeTag = static_cast<uint8_t>(ValueType::kString);
 constexpr uint8_t kMaxFactorFunc = static_cast<uint8_t>(FactorFunc::kEqual);
 constexpr uint32_t kEmptyProbe = 0xffffffffu;
 
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-/// Zero-pad `out` to the next multiple of 8. Valid because every binary
-/// section's *content* starts at an 8-aligned file offset, so offsets
-/// within the content are congruent to file offsets mod 8.
-void PadTo8(std::string* out) {
-  while (out->size() & 7) out->push_back('\0');
-}
-
-/// Bounds-checked forward cursor over section content. Array() never
-/// dereferences — it validates `count * elem_size` bytes exist
-/// (overflow-safe) and records the byte offset, so a malformed count
-/// fails before any accessor can touch memory.
-class Cursor {
- public:
-  explicit Cursor(std::string_view buf) : buf_(buf) {}
-
-  size_t offset() const { return pos_; }
-  size_t remaining() const { return buf_.size() - pos_; }
-
-  Status U32(uint32_t* out, const char* what) {
-    if (remaining() < 4) return Truncated(what, 4);
-    std::memcpy(out, buf_.data() + pos_, 4);
-    pos_ += 4;
-    return Status::OK();
-  }
-
-  Status U64(uint64_t* out, const char* what) {
-    if (remaining() < 8) return Truncated(what, 8);
-    std::memcpy(out, buf_.data() + pos_, 8);
-    pos_ += 8;
-    return Status::OK();
-  }
-
-  Status Array(size_t elem_size, uint64_t count, size_t* off_out,
-               const char* what) {
-    if (count > remaining() / elem_size) {
-      return Status::Corruption(
-          StrFormat("truncated %s at offset %zu: need %llu x %zu bytes, have %zu",
-                    what, pos_, static_cast<unsigned long long>(count), elem_size,
-                    remaining()));
-    }
-    *off_out = pos_;
-    pos_ += static_cast<size_t>(count) * elem_size;
-    return Status::OK();
-  }
-
-  Status Pad8(const char* what) {
-    size_t pad = (8 - (pos_ & 7)) & 7;
-    if (pad > remaining()) return Truncated(what, pad);
-    for (size_t i = 0; i < pad; ++i) {
-      if (buf_[pos_ + i] != '\0') {
-        return Status::Corruption(StrFormat("nonzero %s pad byte at offset %zu",
-                                            what, pos_ + i));
-      }
-    }
-    pos_ += pad;
-    return Status::OK();
-  }
-
-  Status Done(const char* what) {
-    if (remaining() != 0) {
-      return Status::Corruption(StrFormat("%zu trailing bytes in %s section",
-                                          remaining(), what));
-    }
-    return Status::OK();
-  }
-
- private:
-  Status Truncated(const char* what, size_t need) const {
-    return Status::Corruption(
-        StrFormat("truncated %s at offset %zu: need %zu bytes, have %zu", what,
-                  pos_, need, remaining()));
-  }
-
-  std::string_view buf_;
-  size_t pos_ = 0;
-};
-
 }  // namespace
-
-// ---- Alignment padding --------------------------------------------------
-
-std::string WithAlignmentPad(size_t payload_file_offset, std::string content) {
-  size_t pad = (8 - ((payload_file_offset + 1) & 7)) & 7;
-  std::string out;
-  out.reserve(1 + pad + content.size());
-  out.push_back(static_cast<char>(pad));
-  out.append(pad, '\0');
-  out += content;
-  return out;
-}
-
-Result<std::string_view> StripAlignmentPad(size_t payload_file_offset,
-                                           std::string_view payload) {
-  if (payload.empty()) {
-    return Status::Corruption("aligned section payload missing pad prefix");
-  }
-  size_t expected = (8 - ((payload_file_offset + 1) & 7)) & 7;
-  size_t pad = static_cast<uint8_t>(payload[0]);
-  if (pad != expected) {
-    return Status::Corruption(
-        StrFormat("section pad length %zu does not match file offset %zu "
-                  "(expected %zu)",
-                  pad, payload_file_offset, expected));
-  }
-  if (payload.size() < 1 + pad) {
-    return Status::Corruption("aligned section shorter than its pad");
-  }
-  for (size_t i = 0; i < pad; ++i) {
-    if (payload[1 + i] != '\0') {
-      return Status::Corruption(
-          StrFormat("nonzero alignment pad byte at index %zu", i));
-    }
-  }
-  return payload.substr(1 + pad);
-}
 
 // ---- String pool --------------------------------------------------------
 
@@ -196,22 +69,22 @@ std::string StringPoolBuilder::EncodeContent() const {
   uint64_t blob_len = 0;
   for (const std::string& s : strings_) blob_len += s.size();
   DD_CHECK(blob_len <= 0xffffffffull);  // offsets are u32
-  std::string out;
-  AppendU64(&out, strings_.size());
-  AppendU64(&out, blob_len);
+  ByteWriter out;
+  out.U64(strings_.size());
+  out.U64(blob_len);
   uint32_t off = 0;
   for (const std::string& s : strings_) {
-    AppendU32(&out, off);
+    out.U32(off);
     off += static_cast<uint32_t>(s.size());
   }
-  AppendU32(&out, off);
-  PadTo8(&out);
-  for (const std::string& s : strings_) out += s;
-  return out;
+  out.U32(off);
+  out.Pad8();
+  for (const std::string& s : strings_) out.Raw(s);
+  return out.Take();
 }
 
 Result<StringPoolView> StringPoolView::Parse(std::string_view content) {
-  Cursor c(content);
+  ByteReader c(content);
   uint64_t count = 0, blob_len = 0;
   DD_RETURN_IF_ERROR(c.U64(&count, "DICT count"));
   DD_RETURN_IF_ERROR(c.U64(&blob_len, "DICT blob length"));
@@ -222,7 +95,7 @@ Result<StringPoolView> StringPoolView::Parse(std::string_view content) {
   DD_RETURN_IF_ERROR(c.Array(4, count + 1, &offsets_off, "DICT offsets"));
   DD_RETURN_IF_ERROR(c.Pad8("DICT"));
   DD_RETURN_IF_ERROR(c.Array(1, blob_len, &blob_off, "DICT blob"));
-  DD_RETURN_IF_ERROR(c.Done("DICT"));
+  DD_RETURN_IF_ERROR(c.ExpectEnd("DICT"));
 
   StringPoolView pool;
   pool.count_ = static_cast<size_t>(count);
@@ -243,8 +116,7 @@ Result<StringPoolView> StringPoolView::Parse(std::string_view content) {
 
 // ---- Binary factor graph (GRBN) -----------------------------------------
 
-void EncodeBinaryGraph(const FactorGraph& graph, StringPoolBuilder* pool,
-                       std::string* out) {
+std::string EncodeBinaryGraph(const FactorGraph& graph, StringPoolBuilder* pool) {
   const size_t num_vars = graph.num_variables();
   const size_t num_weights = graph.num_weights();
   const size_t num_factors = graph.num_factors();
@@ -254,58 +126,60 @@ void EncodeBinaryGraph(const FactorGraph& graph, StringPoolBuilder* pool,
     if (graph.is_evidence(v)) ++num_evidence;
   }
 
-  AppendU64(out, num_vars);
-  AppendU64(out, num_evidence);
-  AppendU64(out, num_weights);
-  AppendU64(out, num_factors);
-  AppendU64(out, num_literals);
+  ByteWriter out;
+  out.U64(num_vars);
+  out.U64(num_evidence);
+  out.U64(num_weights);
+  out.U64(num_factors);
+  out.U64(num_literals);
   for (uint32_t v = 0; v < num_vars; ++v) {
     if (!graph.is_evidence(v)) continue;
-    AppendU64(out, static_cast<uint64_t>(v) |
-                       (graph.evidence_value(v) ? (uint64_t{1} << 32) : 0));
+    out.U64(static_cast<uint64_t>(v) |
+            (graph.evidence_value(v) ? (uint64_t{1} << 32) : 0));
   }
   for (uint32_t w = 0; w < num_weights; ++w) {
-    AppendU64(out, std::bit_cast<uint64_t>(graph.weight_value(w)));
+    out.F64(graph.weight_value(w));
   }
   for (uint32_t w = 0; w < num_weights; ++w) {
-    AppendU32(out, pool->IdFor(graph.weight(w).description));
+    out.U32(pool->IdFor(graph.weight(w).description));
   }
-  PadTo8(out);
+  out.Pad8();
   for (uint32_t w = 0; w < num_weights; ++w) {
-    out->push_back(graph.weight(w).is_fixed ? 1 : 0);
+    out.U8(graph.weight(w).is_fixed ? 1 : 0);
   }
-  PadTo8(out);
+  out.Pad8();
   for (uint32_t f = 0; f < num_factors; ++f) {
-    out->push_back(static_cast<char>(graph.factor_func(f)));
+    out.U8(static_cast<uint8_t>(graph.factor_func(f)));
   }
-  PadTo8(out);
+  out.Pad8();
   for (uint32_t f = 0; f < num_factors; ++f) {
-    AppendU32(out, graph.factor_weight(f));
+    out.U32(graph.factor_weight(f));
   }
-  PadTo8(out);
+  out.Pad8();
   uint64_t off = 0;
-  AppendU64(out, 0);
+  out.U64(0);
   for (uint32_t f = 0; f < num_factors; ++f) {
     size_t arity = 0;
     graph.factor_literals(f, &arity);
     off += arity;
-    AppendU64(out, off);
+    out.U64(off);
   }
   for (uint32_t f = 0; f < num_factors; ++f) {
     size_t arity = 0;
     const Literal* lits = graph.factor_literals(f, &arity);
     for (size_t i = 0; i < arity; ++i) {
-      AppendU64(out, static_cast<uint64_t>(lits[i].var) |
-                         (lits[i].is_positive ? (uint64_t{1} << 32) : 0));
+      out.U64(static_cast<uint64_t>(lits[i].var) |
+              (lits[i].is_positive ? (uint64_t{1} << 32) : 0));
     }
   }
+  return out.Take();
 }
 
 Result<BinaryGraphView> ParseBinaryGraph(std::string_view content,
                                          const StringPoolView& pool) {
   BinaryGraphView v;
   v.content = content;
-  Cursor c(content);
+  ByteReader c(content);
   DD_RETURN_IF_ERROR(c.U64(&v.num_variables, "GRBN variable count"));
   DD_RETURN_IF_ERROR(c.U64(&v.num_evidence, "GRBN evidence count"));
   DD_RETURN_IF_ERROR(c.U64(&v.num_weights, "GRBN weight count"));
@@ -336,7 +210,7 @@ Result<BinaryGraphView> ParseBinaryGraph(std::string_view content,
   DD_RETURN_IF_ERROR(c.Array(8, v.num_factors + 1, &v.literal_offsets_off,
                              "GRBN literal offsets"));
   DD_RETURN_IF_ERROR(c.Array(8, v.num_literals, &v.literals_off, "GRBN literals"));
-  DD_RETURN_IF_ERROR(c.Done("GRBN"));
+  DD_RETURN_IF_ERROR(c.ExpectEnd("GRBN"));
 
   // Semantic validation: every id in range, evidence sorted, CSR
   // monotone, flag/spare bits zero.
@@ -443,19 +317,19 @@ Result<FactorGraph> GraphFromBinary(const BinaryGraphView& view,
 
 std::string EncodeCatalogSnapshot(const Catalog& catalog) {
   StringPoolBuilder pool;
-  std::string cols;
+  ByteWriter cols;
   std::vector<std::string> names = catalog.TableNames();  // sorted
 
-  AppendU64(&cols, names.size());
+  cols.U64(names.size());
   for (const std::string& name : names) {
     const Table* table = *catalog.GetTable(name);
-    AppendU64(&cols, table->capacity());
-    AppendU32(&cols, pool.IdFor(name));
+    cols.U64(table->capacity());
+    cols.U32(pool.IdFor(name));
     const Schema& schema = table->schema();
-    AppendU32(&cols, static_cast<uint32_t>(schema.num_columns()));
+    cols.U32(static_cast<uint32_t>(schema.num_columns()));
     for (size_t i = 0; i < schema.num_columns(); ++i) {
-      AppendU32(&cols, pool.IdFor(schema.column(i).name));
-      AppendU32(&cols, static_cast<uint32_t>(schema.column(i).type));
+      cols.U32(pool.IdFor(schema.column(i).name));
+      cols.U32(static_cast<uint32_t>(schema.column(i).type));
     }
   }
   for (const std::string& name : names) {
@@ -463,10 +337,10 @@ std::string EncodeCatalogSnapshot(const Catalog& catalog) {
     const size_t rows = table->capacity();
     const Bitmap& live = table->live_bitmap();
     for (size_t w = 0; w < Bitmap::WordsFor(rows); ++w) {
-      AppendU64(&cols, live.words()[w]);
+      cols.U64(live.words()[w]);
     }
     for (size_t r = 0; r < rows; ++r) {
-      AppendU64(&cols, table->RowHash(static_cast<int64_t>(r)));
+      cols.U64(table->RowHash(static_cast<int64_t>(r)));
     }
     for (size_t col = 0; col < table->schema().num_columns(); ++col) {
       const ColumnVector& cv = table->column(col);
@@ -475,29 +349,20 @@ std::string EncodeCatalogSnapshot(const Catalog& catalog) {
         // String payloads are remapped from process-global dictionary
         // ids to snapshot-local pool ids so the bytes are deterministic
         // regardless of interleaved interning elsewhere.
-        AppendU64(&cols, v.type() == ValueType::kString
-                             ? pool.IdFor(v.AsString())
-                             : v.payload_bits());
+        cols.U64(v.type() == ValueType::kString ? pool.IdFor(v.AsString())
+                                                : v.payload_bits());
       }
       for (size_t r = 0; r < rows; ++r) {
-        cols.push_back(static_cast<char>(cv.at(r).type()));
+        cols.U8(static_cast<uint8_t>(cv.at(r).type()));
       }
-      PadTo8(&cols);
+      cols.Pad8();
     }
   }
 
+  // COLS first: its encode populates the pool.
   SnapshotWriter writer;
-  SectionLayout layout;
-  auto add_aligned = [&](const char* tag, std::string content) {
-    std::string payload =
-        WithAlignmentPad(layout.NextPayloadOffset(), std::move(content));
-    layout.Add(payload.size());
-    writer.AddSection(tag, std::move(payload));
-  };
-  // COLS first: its encode populates the pool, but DICT's *file offset*
-  // is only known once the COLS payload length is fixed.
-  add_aligned("COLS", std::move(cols));
-  add_aligned("DICT", pool.EncodeContent());
+  writer.AddAlignedSection("COLS", cols.str());
+  writer.AddAlignedSection("DICT", pool.EncodeContent());
   return writer.Encode();
 }
 
@@ -508,7 +373,7 @@ Status WriteCatalogSnapshot(const Catalog& catalog, const std::string& path) {
 Result<CatalogView> ParseCatalogSection(std::string_view cols_content,
                                         const StringPoolView& pool) {
   CatalogView out;
-  Cursor c(cols_content);
+  ByteReader c(cols_content);
   uint64_t num_tables = 0;
   DD_RETURN_IF_ERROR(c.U64(&num_tables, "COLS table count"));
   // Each directory entry is at least 16 bytes; cheap pre-bound so a
@@ -567,7 +432,7 @@ Result<CatalogView> ParseCatalogSection(std::string_view cols_content,
       DD_RETURN_IF_ERROR(c.Pad8("COLS"));
     }
   }
-  DD_RETURN_IF_ERROR(c.Done("COLS"));
+  DD_RETURN_IF_ERROR(c.ExpectEnd("COLS"));
 
   // Cell-level validation: liveness spare bits zero, tags in range,
   // payloads consistent with their tag.
@@ -656,14 +521,10 @@ Status LoadCatalogFromViews(const CatalogView& view, const StringPoolView& pool,
 
 Status LoadCatalogSnapshot(const std::string& bytes, Catalog* catalog) {
   DD_ASSIGN_OR_RETURN(SnapshotView container, SnapshotView::Parse(bytes));
-  DD_ASSIGN_OR_RETURN(SectionSpan dict_span, container.Section("DICT"));
-  DD_ASSIGN_OR_RETURN(std::string_view dict_content,
-                      StripAlignmentPad(dict_span.offset, dict_span.payload));
-  DD_ASSIGN_OR_RETURN(StringPoolView pool, StringPoolView::Parse(dict_content));
-  DD_ASSIGN_OR_RETURN(SectionSpan cols_span, container.Section("COLS"));
-  DD_ASSIGN_OR_RETURN(std::string_view cols_content,
-                      StripAlignmentPad(cols_span.offset, cols_span.payload));
-  DD_ASSIGN_OR_RETURN(CatalogView view, ParseCatalogSection(cols_content, pool));
+  DD_ASSIGN_OR_RETURN(std::string_view dict, container.AlignedSection("DICT"));
+  DD_ASSIGN_OR_RETURN(StringPoolView pool, StringPoolView::Parse(dict));
+  DD_ASSIGN_OR_RETURN(std::string_view cols, container.AlignedSection("COLS"));
+  DD_ASSIGN_OR_RETURN(CatalogView view, ParseCatalogSection(cols, pool));
   return LoadCatalogFromViews(view, pool, catalog);
 }
 
@@ -740,24 +601,18 @@ Result<MappedSnapshot> MappedSnapshot::Open(const std::string& path) {
   return snap;
 }
 
-Result<std::string_view> MappedSnapshot::SectionContent(
-    const std::string& tag) const {
-  DD_ASSIGN_OR_RETURN(SectionSpan span, view_.Section(tag));
-  return StripAlignmentPad(span.offset, span.payload);
-}
-
 Result<StringPoolView> MappedSnapshot::Pool() const {
-  DD_ASSIGN_OR_RETURN(std::string_view content, SectionContent("DICT"));
+  DD_ASSIGN_OR_RETURN(std::string_view content, view_.AlignedSection("DICT"));
   return StringPoolView::Parse(content);
 }
 
 Result<BinaryGraphView> MappedSnapshot::Graph(const StringPoolView& pool) const {
-  DD_ASSIGN_OR_RETURN(std::string_view content, SectionContent("GRBN"));
+  DD_ASSIGN_OR_RETURN(std::string_view content, view_.AlignedSection("GRBN"));
   return ParseBinaryGraph(content, pool);
 }
 
 Result<CatalogView> MappedSnapshot::Tables(const StringPoolView& pool) const {
-  DD_ASSIGN_OR_RETURN(std::string_view content, SectionContent("COLS"));
+  DD_ASSIGN_OR_RETURN(std::string_view content, view_.AlignedSection("COLS"));
   return ParseCatalogSection(content, pool);
 }
 

@@ -36,41 +36,15 @@ namespace dd {
 ///         byte-for-byte the arrays Table holds in memory, with string
 ///         cells remapped to DICT-local ids.
 ///
-/// Every multi-byte integer is little-endian. Each binary section's
-/// payload starts with a one-byte pad-length prefix and zero padding
-/// sized so the section *content* lands on an 8-byte file offset; an
-/// mmap of the file (page-aligned base) therefore exposes 8-byte-aligned
-/// arrays. All readers go through bounds-checked cursors and per-element
-/// memcpy accessors — on aligned mapped data these compile to single
-/// loads, and on unaligned heap copies they are still well-defined.
+/// Every multi-byte integer is little-endian (util/bytes.h). Each binary
+/// section is an aligned container section (factor/io.h), so its content
+/// lands on an 8-byte file offset and an mmap of the file (page-aligned
+/// base) exposes 8-byte-aligned arrays. All readers go through the
+/// bounds-checked ByteReader and per-element memcpy accessors — on
+/// aligned mapped data these compile to single loads, and on unaligned
+/// heap copies they are still well-defined.
 /// Malformed input (bad counts, out-of-range ids, non-monotone offsets,
 /// nonzero padding, trailing bytes) yields Status::Corruption, never UB.
-
-/// ---- Alignment padding ------------------------------------------------
-
-/// Wrap `content` as [u8 pad_len][pad_len zero bytes][content] with
-/// pad_len chosen so content begins at a file offset divisible by 8.
-/// `payload_file_offset` is where the payload will start in the file
-/// (SectionLayout::NextPayloadOffset()).
-std::string WithAlignmentPad(size_t payload_file_offset, std::string content);
-
-/// Validate and strip the pad prefix; Corruption on wrong pad length or
-/// nonzero pad bytes.
-Result<std::string_view> StripAlignmentPad(size_t payload_file_offset,
-                                           std::string_view payload);
-
-/// Tracks file offsets while sections are appended to a SnapshotWriter:
-/// container header is 8 bytes, each section adds 12 (tag+len) + payload
-/// + 4 (CRC).
-class SectionLayout {
- public:
-  /// File offset at which the *next* section's payload will start.
-  size_t NextPayloadOffset() const { return total_ + 12; }
-  void Add(size_t payload_len) { total_ += 12 + payload_len + 4; }
-
- private:
-  size_t total_ = 8;
-};
 
 /// ---- String pool (DICT) -----------------------------------------------
 
@@ -82,7 +56,7 @@ class StringPoolBuilder {
   uint32_t IdFor(std::string_view s);
   size_t size() const { return strings_.size(); }
 
-  /// DICT section content (before alignment padding).
+  /// DICT section content.
   std::string EncodeContent() const;
 
  private:
@@ -179,8 +153,7 @@ struct BinaryGraphView {
 /// Encode `graph` as GRBN content; weight descriptions are interned into
 /// `pool` (callers append the pool's DICT section after all encoders
 /// that share it have run).
-void EncodeBinaryGraph(const FactorGraph& graph, StringPoolBuilder* pool,
-                       std::string* grbn_content);
+std::string EncodeBinaryGraph(const FactorGraph& graph, StringPoolBuilder* pool);
 
 /// Validate GRBN content (bounds, monotone CSR offsets, id ranges
 /// against `pool`, zero high bits, zero padding, exact length) and build
@@ -286,8 +259,6 @@ class MappedSnapshot {
   Result<CatalogView> Tables(const StringPoolView& pool) const;
 
  private:
-  Result<std::string_view> SectionContent(const std::string& tag) const;
-
   void* map_base_ = nullptr;
   size_t map_len_ = 0;
   std::unique_ptr<uint64_t[]> heap_;  // 8-aligned fallback buffer

@@ -25,11 +25,16 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/coordinator.h"
+#include "dist/protocol.h"
+#include "dist/shard.h"
 #include "dist/wire.h"
+#include "factor/io.h"
 #include "testdata/synthetic_graphs.h"
+#include "util/bytes.h"
 #include "util/crc32c.h"
 #include "util/deadline.h"
 #include "util/failpoint.h"
@@ -177,15 +182,13 @@ TEST_F(DistFaultTest, BadFrameCrcIsCorruption) {
 
   // A well-formed frame except for the CRC word.
   const std::string payload = "boundary bits";
-  std::string checked;
-  PutU32(&checked, 7);  // type
-  PutU64(&checked, payload.size());
-  checked += payload;
-  std::string frame;
-  PutU32(&frame, kWireMagic);
-  frame += checked;
-  PutU32(&frame, Crc32c(checked.data(), checked.size()) ^ 0xdeadbeef);
-  RawSend(fd, frame);
+  ByteWriter frame;
+  frame.U32(kWireMagic);
+  frame.U32(7);  // type
+  frame.U64(payload.size());
+  frame.Raw(payload);
+  frame.U32(Crc32c(frame.str().data() + 4, frame.size() - 4) ^ 0xdeadbeef);
+  RawSend(fd, frame.str());
 
   auto received = conn->RecvFrame(Deadline::AfterMillis(5000));
   EXPECT_EQ(received.status().code(), StatusCode::kCorruption)
@@ -201,16 +204,47 @@ TEST_F(DistFaultTest, BadMagicIsCorruption) {
   auto conn = listener->Accept(Deadline::AfterMillis(5000));
   ASSERT_TRUE(conn.ok());
 
-  std::string frame;
-  PutU32(&frame, 0x4b4f4f4c);  // not "DDW1"
-  PutU32(&frame, 1);
-  PutU64(&frame, 0);
-  PutU32(&frame, 0);
-  RawSend(fd, frame);
+  ByteWriter frame;
+  frame.U32(0x4b4f4f4c);  // not "DDW1"
+  frame.U32(1);
+  frame.U64(0);
+  frame.U32(0);
+  RawSend(fd, frame.str());
 
   auto received = conn->RecvFrame(Deadline::AfterMillis(5000));
   EXPECT_EQ(received.status().code(), StatusCode::kCorruption);
   ::close(fd);
+}
+
+// ---- A shard refuses an assignment whose graph is not GRBN -------------
+
+TEST_F(DistFaultTest, ShardRefusesTextGraphAssignment) {
+  auto listener = WireListener::Listen("tcp:127.0.0.1:0");
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  ShardWorkerOptions options;
+  options.endpoint = listener->endpoint();
+  options.io_deadline_ms = 5000;
+  Status worker_status;
+  std::thread worker([&] { worker_status = RunShardWorker(options); });
+
+  auto conn = listener->Accept(Deadline::AfterMillis(5000));
+  if (conn.ok()) {
+    auto hello = conn->RecvFrame(Deadline::AfterMillis(5000));
+    EXPECT_TRUE(hello.ok()) << hello.status().ToString();
+    // The retired ddfg text section (GRPH) carries a graph in a form no
+    // decoder reads any more.
+    SnapshotWriter graph;
+    graph.AddSection("GRPH", SerializeGraph(MakeChainGraph(4, 1.0, 3)));
+    AssignMsg assign;
+    assign.graph_snapshot = graph.Encode();
+    EXPECT_TRUE(
+        conn->SendFrame(kMsgAssign, EncodeAssign(assign), Deadline::AfterMillis(5000))
+            .ok());
+  }
+  worker.join();
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  EXPECT_EQ(worker_status.code(), StatusCode::kInvalidArgument)
+      << worker_status.ToString();
 }
 
 // ---- Kill a shard mid-epoch; resume bit-identically -------------------

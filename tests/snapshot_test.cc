@@ -25,17 +25,12 @@ void Pad8(std::string* out) {
   while (out->size() & 7) out->push_back('\0');
 }
 
-/// Wrap (tag, content) pairs as a valid DDSN container with alignment
-/// pads — CRCs are correct, so only *semantic* validation can reject it.
+/// Wrap (tag, content) pairs as a valid DDSN container of aligned
+/// sections — CRCs are correct, so only *semantic* validation can reject it.
 std::string BuildContainer(
     const std::vector<std::pair<std::string, std::string>>& sections) {
   SnapshotWriter writer;
-  SectionLayout layout;
-  for (const auto& [tag, content] : sections) {
-    std::string payload = WithAlignmentPad(layout.NextPayloadOffset(), content);
-    layout.Add(payload.size());
-    writer.AddSection(tag, payload);
-  }
+  for (const auto& [tag, content] : sections) writer.AddAlignedSection(tag, content);
   return writer.Encode();
 }
 
@@ -58,27 +53,51 @@ std::string EncodeDict(const std::vector<std::string>& strings) {
 
 // ---- Alignment padding --------------------------------------------------
 
+/// A container with a `lead`-byte section, then "DATA" holding `payload`
+/// verbatim (not re-padded).
+std::string ContainerWithRawData(size_t lead, const std::string& payload) {
+  SnapshotWriter writer;
+  writer.AddSection("LEAD", std::string(lead, 'x'));
+  writer.AddSection("DATA", payload);
+  return writer.Encode();
+}
+
 TEST(AlignmentPadTest, RoundTripsAtEveryOffset) {
   const std::string content = "12345";
-  for (size_t off = 0; off < 32; ++off) {
-    std::string payload = WithAlignmentPad(off, content);
-    // The content must land on an 8-aligned file offset.
-    size_t pad = static_cast<uint8_t>(payload[0]);
-    EXPECT_EQ((off + 1 + pad) % 8, 0u) << "offset " << off;
-    auto stripped = StripAlignmentPad(off, payload);
+  for (size_t lead = 0; lead < 16; ++lead) {
+    SnapshotWriter writer;
+    writer.AddSection("LEAD", std::string(lead, 'x'));
+    writer.AddAlignedSection("DATA", content);
+    const std::string bytes = writer.Encode();
+    auto view = SnapshotView::Parse(bytes);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    auto stripped = view->AlignedSection("DATA");
     ASSERT_TRUE(stripped.ok()) << stripped.status().ToString();
     EXPECT_EQ(*stripped, content);
+    // The content must land on an 8-aligned file offset.
+    EXPECT_EQ((stripped->data() - bytes.data()) % 8, 0) << "lead " << lead;
     // The same payload at a different (non-congruent) offset is rejected.
-    auto wrong = StripAlignmentPad(off + 1, payload);
-    EXPECT_FALSE(wrong.ok());
+    const std::string moved = ContainerWithRawData(lead + 1, std::string(*view->Section("DATA")));
+    auto moved_view = SnapshotView::Parse(moved);
+    ASSERT_TRUE(moved_view.ok());
+    EXPECT_EQ(moved_view->AlignedSection("DATA").status().code(), StatusCode::kCorruption);
   }
 }
 
 TEST(AlignmentPadTest, RejectsNonzeroPadBytes) {
-  std::string payload = WithAlignmentPad(20, "data");
+  SnapshotWriter writer;
+  writer.AddSection("LEAD", "");
+  writer.AddAlignedSection("DATA", "data");
+  const std::string bytes = writer.Encode();
+  auto view = SnapshotView::Parse(bytes);
+  ASSERT_TRUE(view.ok());
+  std::string payload(*view->Section("DATA"));
   ASSERT_GT(static_cast<uint8_t>(payload[0]), 0u);
   payload[1] = 'x';
-  auto stripped = StripAlignmentPad(20, payload);
+  const std::string bad = ContainerWithRawData(0, payload);
+  auto bad_view = SnapshotView::Parse(bad);
+  ASSERT_TRUE(bad_view.ok());
+  auto stripped = bad_view->AlignedSection("DATA");
   EXPECT_FALSE(stripped.ok());
   EXPECT_EQ(stripped.status().code(), StatusCode::kCorruption);
 }
@@ -498,7 +517,7 @@ TEST(MalformedSectionTest, GrbnDefectsRejected) {
 
 // ---- Text oracle --------------------------------------------------------
 
-TEST(GraphSnapshotFormatTest, TextOracleMatchesBinary) {
+TEST(GraphSnapshotFormatTest, BinaryMatchesTextOracle) {
   SyntheticGraphOptions options;
   options.num_variables = 20;
   options.factors_per_variable = 2.5;
@@ -510,34 +529,29 @@ TEST(GraphSnapshotFormatTest, TextOracleMatchesBinary) {
   snap.has_graph = true;
   snap.graph = MakeRandomGraph(options);
 
-  // Default is binary: GRBN+DICT sections, no GRPH.
+  // The graph travels as GRBN+DICT sections.
   std::string binary = EncodeGraphSnapshot(snap);
-  auto reader = SnapshotReader::Parse(binary);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_TRUE(reader->Has("GRBN"));
-  EXPECT_TRUE(reader->Has("DICT"));
-  EXPECT_FALSE(reader->Has("GRPH"));
+  auto view = SnapshotView::Parse(binary);
+  ASSERT_TRUE(view.ok());
+  EXPECT_TRUE(view->Has("GRBN"));
+  EXPECT_TRUE(view->Has("DICT"));
 
-  // text_graph flips to the ddfg oracle format.
-  snap.text_graph = true;
-  std::string text = EncodeGraphSnapshot(snap);
-  auto text_reader = SnapshotReader::Parse(text);
-  ASSERT_TRUE(text_reader.ok());
-  EXPECT_TRUE(text_reader->Has("GRPH"));
-  EXPECT_FALSE(text_reader->Has("GRBN"));
-
-  // Both decode to the same graph, and each remembers its format so
+  // It decodes to the graph the ddfg text oracle describes, and
   // decode→encode round-trips are byte-exact.
   auto from_binary = DecodeGraphSnapshot(binary);
-  auto from_text = DecodeGraphSnapshot(text);
   ASSERT_TRUE(from_binary.ok()) << from_binary.status().ToString();
-  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
-  EXPECT_FALSE(from_binary->text_graph);
-  EXPECT_TRUE(from_text->text_graph);
-  EXPECT_EQ(SerializeGraph(from_binary->graph), SerializeGraph(from_text->graph));
   EXPECT_EQ(SerializeGraph(from_binary->graph), SerializeGraph(snap.graph));
   EXPECT_EQ(EncodeGraphSnapshot(*from_binary), binary);
-  EXPECT_EQ(EncodeGraphSnapshot(*from_text), text);
+}
+
+TEST(GraphSnapshotFormatTest, TextGraphSectionIsNotAGraph) {
+  // GRPH (the retired ddfg text section) is an unknown section now: a
+  // container carrying it and no GRBN has no graph.
+  SnapshotWriter writer;
+  writer.AddSection("GRPH", SerializeGraph(MakeChainGraph(6, 0.5, 5)));
+  auto decoded = DecodeGraphSnapshot(writer.Encode());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_FALSE(decoded->has_graph);
 }
 
 // ---- Mapped snapshots ---------------------------------------------------
