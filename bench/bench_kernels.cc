@@ -67,12 +67,20 @@ void BM_GibbsSweep(benchmark::State& state) {
   options.factors_per_variable = 3.0;
   options.seed = 1;
   FactorGraph graph = MakeRandomGraph(options);
-  GibbsOptions gibbs_options;
-  gibbs_options.use_compiled = false;
-  GibbsSampler sampler(&graph, gibbs_options);
-  if (!sampler.Init().ok()) state.SkipWithError("init failed");
+  // GibbsSampler's sweep with the interpreted CSR PotentialDelta in place
+  // of the compiled kernel.
+  std::vector<uint8_t> assignment(graph.num_variables());
+  Rng rng(42);
+  for (uint32_t v = 0; v < assignment.size(); ++v) {
+    assignment[v] = graph.is_evidence(v) ? graph.evidence_value(v)
+                                         : (rng.NextBernoulli(0.5) ? 1 : 0);
+  }
   for (auto _ : state) {
-    sampler.Sweep();
+    for (uint32_t v = 0; v < assignment.size(); ++v) {
+      if (graph.is_evidence(v)) continue;
+      const double delta = graph.PotentialDelta(v, assignment.data());
+      assignment[v] = rng.NextBernoulli(Sigmoid(delta)) ? 1 : 0;
+    }
   }
   state.SetItemsProcessed(state.iterations() * options.num_variables);
 }
@@ -85,7 +93,6 @@ void BM_GibbsSweepCompiled(benchmark::State& state) {
   options.seed = 1;
   FactorGraph graph = MakeRandomGraph(options);
   GibbsOptions gibbs_options;
-  gibbs_options.use_compiled = true;
   GibbsSampler sampler(&graph, gibbs_options);
   if (!sampler.Init().ok()) state.SkipWithError("init failed");
   for (auto _ : state) {

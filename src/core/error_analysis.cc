@@ -109,13 +109,13 @@ std::string ErrorAnalysis::ToText(const Grounder* grounder,
     std::vector<uint32_t> ids(graph.num_weights());
     for (uint32_t w = 0; w < ids.size(); ++w) ids[w] = w;
     std::sort(ids.begin(), ids.end(), [&](uint32_t a, uint32_t b) {
-      return std::abs(graph.weight(a).value) > std::abs(graph.weight(b).value);
+      return std::abs(graph.weight_value(a)) > std::abs(graph.weight_value(b));
     });
     size_t shown = 0;
     for (uint32_t w : ids) {
       if (shown++ >= max_features) break;
       uint64_t obs = grounder->weight_observations()[w];
-      out += StrFormat("  w=%+8.3f  n=%-6llu %s%s\n", graph.weight(w).value,
+      out += StrFormat("  w=%+8.3f  n=%-6llu %s%s\n", graph.weight_value(w),
                        static_cast<unsigned long long>(obs),
                        grounder->WeightKey(w).c_str(),
                        obs < 3 ? "   <-- few observations!" : "");

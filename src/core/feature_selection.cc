@@ -23,7 +23,7 @@ Result<std::vector<SelectedFeature>> FeatureSelector::Run(
     SelectedFeature feature;
     feature.weight_id = w;
     feature.key = grounder->WeightKey(w);
-    feature.learned_weight = weight.value;
+    feature.learned_weight = graph->weight_value(w);
     feature.observations = grounder->weight_observations()[w];
     feature.kept = feature.observations >= options.min_observations &&
                    std::fabs(feature.learned_weight) >= options.min_abs_weight;

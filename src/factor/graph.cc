@@ -24,14 +24,13 @@ uint32_t FactorGraph::AddVariable(bool is_evidence, bool value) {
 
 uint32_t FactorGraph::AddWeight(double initial_value, bool is_fixed,
                                 std::string description) {
-  weights_.push_back(Weight{initial_value, is_fixed, std::move(description)});
+  weights_.push_back(Weight{is_fixed, std::move(description)});
   weight_values_.push_back(initial_value);
   return static_cast<uint32_t>(weights_.size() - 1);
 }
 
 void FactorGraph::set_weight_value(uint32_t w, double value) {
   weight_values_[w] = value;
-  weights_[w].value = value;
   // A weight folded into a per-variable bias constant (possible only for
   // fixed weights, which learners never touch) invalidates the fold;
   // recompile the streams so the bias stays exact.
@@ -491,7 +490,7 @@ double FactorGraph::LogPotential(const uint8_t* assignment) const {
   double total = 0.0;
   const size_t nf = num_factors();
   for (uint32_t f = 0; f < nf; ++f) {
-    total += weights_[factor_weight_[f]].value * EvalFactor(f, assignment);
+    total += weight_values_[factor_weight_[f]] * EvalFactor(f, assignment);
   }
   return total;
 }
@@ -502,7 +501,7 @@ double FactorGraph::PotentialDelta(uint32_t v, const uint8_t* assignment) const 
   const uint32_t* factors = var_factors(v, &count);
   for (size_t i = 0; i < count; ++i) {
     uint32_t f = factors[i];
-    double w = weights_[factor_weight_[f]].value;
+    double w = weight_values_[factor_weight_[f]];
     if (w == 0.0) continue;
     delta += w * (EvalFactor(f, assignment, v, 1) - EvalFactor(f, assignment, v, 0));
   }

@@ -32,12 +32,10 @@ struct Literal {
 
 /// Cold side of a tied weight: metadata that inference never touches.
 /// Multiple factors grounded from the same rule with the same feature
-/// value share one WeightId (Example 3.2's weight tying). The hot value
-/// lives in FactorGraph's dense weight_values_ array; `value` here is a
-/// mirror kept in sync by set_weight_value() so io/diagnostics code can
-/// keep reading the struct.
+/// value share one WeightId (Example 3.2's weight tying). The value
+/// itself lives only in FactorGraph's dense weight_values_ array
+/// (weight_value()).
 struct Weight {
-  double value = 0.0;
   bool is_fixed = false;      ///< fixed weights are not learned
   std::string description;    ///< human-readable feature name (debuggability)
 };
@@ -79,9 +77,8 @@ class FactorGraph {
   const Weight& weight(uint32_t w) const { return weights_[w]; }
 
   /// Hot-side weight access: the dense SoA array every inference and
-  /// learning loop reads. Writes go through set_weight_value so the cold
-  /// Weight mirror (and any compiled bias folding the weight) stays
-  /// consistent.
+  /// learning loop reads. Writes go through set_weight_value so any
+  /// compiled bias folding the weight stays consistent.
   double weight_value(uint32_t w) const { return weight_values_[w]; }
   const double* weight_values() const { return weight_values_.data(); }
   void set_weight_value(uint32_t w, double value);

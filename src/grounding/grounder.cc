@@ -759,7 +759,7 @@ int64_t Grounder::VarIdFor(const std::string& relation, const Tuple& tuple) cons
 void Grounder::SaveWeights() {
   for (uint32_t w = 0; w < graph_.num_weights(); ++w) {
     if (graph_.weight(w).is_fixed) continue;
-    saved_weights_[weight_keys_[w]] = graph_.weight(w).value;
+    saved_weights_[weight_keys_[w]] = graph_.weight_value(w);
   }
 }
 

@@ -105,16 +105,9 @@ Status GibbsSampler::RestoreState(const std::vector<uint8_t>& assignment,
 
 void GibbsSampler::Sweep() {
   uint8_t* a = assignment_.data();
-  if (options_.use_compiled) {
-    for (uint32_t v : free_vars_) {
-      double delta = graph_->PotentialDeltaCompiled(v, a);
-      a[v] = rng_.NextBernoulli(Sigmoid(delta)) ? 1 : 0;
-    }
-  } else {
-    for (uint32_t v : free_vars_) {
-      double delta = graph_->PotentialDelta(v, a);
-      a[v] = rng_.NextBernoulli(Sigmoid(delta)) ? 1 : 0;
-    }
+  for (uint32_t v : free_vars_) {
+    double delta = graph_->PotentialDeltaCompiled(v, a);
+    a[v] = rng_.NextBernoulli(Sigmoid(delta)) ? 1 : 0;
   }
   num_steps_ += free_vars_.size();
 }

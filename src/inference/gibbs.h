@@ -19,10 +19,6 @@ struct GibbsOptions {
   int num_samples = 1000;     ///< counted sweeps
   uint64_t seed = 42;
   bool clamp_evidence = true; ///< keep evidence variables at their values
-  /// Use the compiled per-variable kernel streams (default). The
-  /// interpreted CSR path is kept as a reference oracle; both produce
-  /// bit-for-bit identical chains.
-  bool use_compiled = true;
   /// Optional explicit free set (sorted ascending variable ids, owned by
   /// the caller, must outlive the sampler). When set it overrides
   /// clamp_evidence entirely: exactly these variables are resampled;

@@ -78,12 +78,10 @@ Result<std::vector<double>> HogwildSampler::RunMarginals() {
     threads.emplace_back([&, t] {
       Rng rng(options_.seed + 0x9e3779b9 * (t + 1));
       uint8_t* a = assignment.data();
-      const bool compiled = options_.use_compiled;
       uint64_t local_steps = 0;
       for (int sweep = 0; sweep < total_sweeps; ++sweep) {
         for (uint32_t v : parts[t]) {
-          double delta = compiled ? graph_->PotentialDeltaCompiled(v, a)
-                                  : graph_->PotentialDelta(v, a);
+          double delta = graph_->PotentialDeltaCompiled(v, a);
           a[v] = rng.NextBernoulli(Sigmoid(delta)) ? 1 : 0;
         }
         local_steps += parts[t].size();
@@ -201,8 +199,7 @@ Result<std::vector<double>> LockingSampler::RunMarginals() {
           }
           // Lock the neighborhood in id order (deadlock-free).
           for (uint32_t u : scope[v]) locks[u].lock();
-          double delta = options_.use_compiled ? graph_->PotentialDeltaCompiled(v, a)
-                                               : graph_->PotentialDelta(v, a);
+          double delta = graph_->PotentialDeltaCompiled(v, a);
           a[v] = rng.NextBernoulli(Sigmoid(delta)) ? 1 : 0;
           if (sweep >= options_.burn_in) counts[t][v] += a[v];
           for (auto it = scope[v].rbegin(); it != scope[v].rend(); ++it) {

@@ -15,8 +15,6 @@ struct ParallelGibbsOptions {
   int num_samples = 1000;
   uint64_t seed = 42;
   bool clamp_evidence = true;
-  /// Compiled kernel streams vs. the interpreted CSR reference path.
-  bool use_compiled = true;
 };
 
 /// Hogwild-style lock-free parallel Gibbs (DimmWitted's execution model,

@@ -55,7 +55,7 @@ double MeanFieldEngine::Update(uint32_t v, const std::vector<double>& mu) const 
   double delta = 0.0;
   for (size_t i = 0; i < nfac; ++i) {
     uint32_t f = factors[i];
-    double w = graph_->weight(graph_->factor_weight(f)).value;
+    double w = graph_->weight_value(graph_->factor_weight(f));
     if (w == 0.0) continue;
     delta += w * (ExpectedFactor(f, mu, v, true) - ExpectedFactor(f, mu, v, false));
   }

@@ -44,14 +44,12 @@ std::vector<std::vector<uint32_t>> BuildScopes(const FactorGraph& graph) {
 }  // namespace
 
 NumaSampler::NumaSampler(const FactorGraph* graph, const NumaTopology& topology,
-                         int burn_in, int num_samples, uint64_t seed,
-                         bool use_compiled)
+                         int burn_in, int num_samples, uint64_t seed)
     : graph_(graph),
       topology_(topology),
       burn_in_(burn_in),
       num_samples_(num_samples),
-      seed_(seed),
-      use_compiled_(use_compiled) {}
+      seed_(seed) {}
 
 int NumaSampler::OwnerNode(uint32_t var) const {
   const size_t nv = graph_->num_variables();
@@ -90,7 +88,6 @@ Result<NumaRunStats> NumaSampler::RunAware() {
       opts.num_samples = node_samples[n];
       opts.seed = seed_ + 0x51ed270bULL * static_cast<uint64_t>(n + 1);
       opts.clamp_evidence = true;
-      opts.use_compiled = use_compiled_;
       GibbsSampler chain(graph_, opts);
       auto result = chain.RunMarginals();
       if (result.ok()) {
@@ -169,8 +166,7 @@ Result<NumaRunStats> NumaSampler::RunUnaware() {
               SpinPenalty(topology_.remote_penalty_iters);
             }
           }
-          double delta = use_compiled_ ? graph_->PotentialDeltaCompiled(v, a)
-                                       : graph_->PotentialDelta(v, a);
+          double delta = graph_->PotentialDeltaCompiled(v, a);
           a[v] = rng.NextBernoulli(Sigmoid(delta)) ? 1 : 0;
         }
         local_steps += parts[n].size();

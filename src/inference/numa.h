@@ -47,10 +47,8 @@ struct NumaRunStats {
 /// all variables" accounting.
 class NumaSampler {
  public:
-  /// `use_compiled` selects the compiled kernel streams (default) or the
-  /// interpreted CSR reference path for every delta computation.
   NumaSampler(const FactorGraph* graph, const NumaTopology& topology, int burn_in,
-              int num_samples, uint64_t seed, bool use_compiled = true);
+              int num_samples, uint64_t seed);
 
   Result<NumaRunStats> RunAware();
   Result<NumaRunStats> RunUnaware();
@@ -63,7 +61,6 @@ class NumaSampler {
   int burn_in_;
   int num_samples_;
   uint64_t seed_;
-  bool use_compiled_;
 };
 
 struct NumaLearnStats {

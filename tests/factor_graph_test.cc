@@ -19,7 +19,7 @@ TEST(FactorGraphTest, BuildAndSizes) {
   EXPECT_FALSE(g.is_evidence(v0));
   EXPECT_TRUE(g.is_evidence(v1));
   EXPECT_TRUE(g.evidence_value(v1));
-  EXPECT_DOUBLE_EQ(g.weight(w).value, 1.5);
+  EXPECT_DOUBLE_EQ(g.weight_value(w), 1.5);
 }
 
 TEST(FactorGraphTest, InvalidFactorRejected) {

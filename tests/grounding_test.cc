@@ -214,7 +214,7 @@ TEST_F(GrounderTest, SavedWeightsSurviveRebuild) {
   bool found = false;
   for (uint32_t w = 0; w < grounder.graph().num_weights(); ++w) {
     if (grounder.WeightKey(w).find("married") != std::string::npos) {
-      EXPECT_DOUBLE_EQ(grounder.graph().weight(w).value, 2.75);
+      EXPECT_DOUBLE_EQ(grounder.graph().weight_value(w), 2.75);
       found = true;
     }
   }
@@ -243,7 +243,7 @@ TEST(GrounderCorrelationTest, ImplyFactorBetweenQueryRelations) {
   ASSERT_EQ(grounder.graph().num_factors(), 1u);
   EXPECT_EQ(grounder.graph().factor_func(0), FactorFunc::kImply);
   EXPECT_TRUE(grounder.graph().weight(0).is_fixed);
-  EXPECT_DOUBLE_EQ(grounder.graph().weight(0).value, 2.0);
+  EXPECT_DOUBLE_EQ(grounder.graph().weight_value(0), 2.0);
 
   // The imply factor couples the marginals: P(B) > 0.5 given weight>0.
   auto marginals = ExactMarginals(grounder.graph());

@@ -242,7 +242,7 @@ TEST(LearnerTest, RecoversUnaryBias) {
   opts.decay = 0.995;
   opts.l2 = 0.0;
   ASSERT_TRUE(learner.Learn(opts).ok());
-  EXPECT_NEAR(Sigmoid(g.weight(w).value), 0.8, 0.07);
+  EXPECT_NEAR(Sigmoid(g.weight_value(w)), 0.8, 0.07);
 }
 
 TEST(LearnerTest, FixedWeightsUntouched) {
@@ -258,8 +258,8 @@ TEST(LearnerTest, FixedWeightsUntouched) {
   LearnOptions opts;
   opts.epochs = 50;
   ASSERT_TRUE(learner.Learn(opts).ok());
-  EXPECT_DOUBLE_EQ(g.weight(fixed).value, 3.0);
-  EXPECT_LT(g.weight(free).value, 0.0);  // pushed negative toward false evidence
+  EXPECT_DOUBLE_EQ(g.weight_value(fixed), 3.0);
+  EXPECT_LT(g.weight_value(free), 0.0);  // pushed negative toward false evidence
 }
 
 TEST(LearnerTest, LearnedWeightsSeparateClasses) {
@@ -319,7 +319,7 @@ TEST(NumaLearnerTest, BothModesLearnTheBias) {
     opts.l2 = 0.0;
     auto stats = learner.Learn(opts, aware);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_NEAR(Sigmoid(g.weight(w).value), 0.75, 0.1)
+    EXPECT_NEAR(Sigmoid(g.weight_value(w)), 0.75, 0.1)
         << "aware=" << aware;
     if (aware) {
       // Remote traffic only from the per-epoch averaging barrier.

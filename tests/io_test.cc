@@ -28,7 +28,7 @@ TEST(FactorIoTest, RoundTripSmallGraph) {
   EXPECT_FALSE(parsed->is_evidence(a));
   EXPECT_TRUE(parsed->is_evidence(b));
   EXPECT_TRUE(parsed->evidence_value(b));
-  EXPECT_DOUBLE_EQ(parsed->weight(w1).value, 1.5);
+  EXPECT_DOUBLE_EQ(parsed->weight_value(w1), 1.5);
   EXPECT_FALSE(parsed->weight(w1).is_fixed);
   EXPECT_EQ(parsed->weight(w1).description, "feature one");
   EXPECT_TRUE(parsed->weight(w2).is_fixed);

@@ -137,8 +137,8 @@ TEST_P(LearnerRecoveryTest, RecoversWeightOrdering) {
   for (size_t i = 0; i < num_features; ++i) {
     for (size_t j = 0; j < num_features; ++j) {
       if (planted[i] > planted[j] + 1.5) {
-        EXPECT_GT(graph.weight(static_cast<uint32_t>(i)).value,
-                  graph.weight(static_cast<uint32_t>(j)).value)
+        EXPECT_GT(graph.weight_value(static_cast<uint32_t>(i)),
+                  graph.weight_value(static_cast<uint32_t>(j)))
             << "planted " << planted[i] << " vs " << planted[j];
       }
     }
