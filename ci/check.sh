@@ -132,6 +132,12 @@ TSAN_OPTIONS="suppressions=$PWD/ci/tsan.supp" \
 echo "=== sanitized build + ctest (address;undefined) ==="
 cmake -B build-san -S . -DDD_SANITIZE="address;undefined" >/dev/null
 cmake --build build-san -j
+# The full sanitized ctest includes the seeded mutation fuzzers (the
+# `fuzz` ctest label); an empty label would mean they silently dropped out.
+if [ -z "$(ctest --test-dir build-san -N -L fuzz | sed -n 's/^ *Test #[0-9]*: //p')" ]; then
+  echo "FAIL: no tests carry the 'fuzz' ctest label"
+  exit 1
+fi
 ctest --test-dir build-san --output-on-failure
 
 echo "=== fault-injection pass ==="

@@ -1,19 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/checkpoint.h"
 #include "core/pipeline.h"
 #include "core/udf.h"
+#include "dist/protocol.h"
+#include "dist/shard.h"
+#include "dist/wire.h"
 #include "factor/io.h"
 #include "inference/incremental.h"
 #include "inference/learner.h"
 #include "testdata/spouse_app.h"
 #include "testdata/synthetic_graphs.h"
 #include "util/crc32c.h"
+#include "util/deadline.h"
 #include "util/failpoint.h"
 
 namespace dd {
@@ -237,6 +243,31 @@ FactorGraph MakeLearnGraph() {
   return MakeRandomGraph(options);
 }
 
+// ---- Malformed META numbers -------------------------------------------
+//
+// A CRC-valid checkpoint whose counter is "" or "<n>x" must be refused:
+// atoi/strtoull read those as 0 and as n, which would resume at the
+// wrong epoch or sweep instead of failing.
+
+std::vector<std::string> Malformed(const std::string& value) {
+  return {"", value + "x"};
+}
+
+/// Rewrite `key` in the snapshot at `path`, starting from `original`.
+void WriteWithMeta(const std::string& original, const std::string& path,
+                   const std::string& key, const std::string& value) {
+  auto snap = DecodeGraphSnapshot(original);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  snap->meta[key] = value;
+  ASSERT_TRUE(WriteGraphSnapshot(*snap, path).ok());
+}
+
+std::map<std::string, std::string> MetaOf(const std::string& bytes) {
+  auto snap = DecodeGraphSnapshot(bytes);
+  EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+  return snap.ok() ? snap->meta : std::map<std::string, std::string>();
+}
+
 TEST(LearnerDivergenceTest, ExplodingStepSizeIsReported) {
   FactorGraph graph = MakeLearnGraph();
   LearnOptions options;
@@ -295,6 +326,34 @@ TEST_F(LearnerResumeTest, InterruptedRunResumesBitIdentically) {
   }
 }
 
+TEST_F(LearnerResumeTest, MalformedCheckpointNumbersAreRefused) {
+  LearnOptions options;
+  options.epochs = 40;
+  options.seed = 99;
+  options.checkpoint_interval = 7;
+  std::string dir = ::testing::TempDir() + "learner_malformed";
+  ASSERT_TRUE(RunDirectory(dir).Create().ok());
+  ASSERT_TRUE(RunDirectory(dir).Clear().ok());
+  options.checkpoint_dir = dir;
+  ASSERT_TRUE(
+      Failpoints::Instance().Configure("learner.epoch=error(skip=23)").ok());
+  FactorGraph interrupted = MakeLearnGraph();
+  ASSERT_FALSE(Learner(&interrupted).Learn(options).ok());
+  Failpoints::Instance().Reset();
+
+  const std::string path = RunDirectory(dir).LearnSnapshotPath();
+  auto original = ReadFileBytes(path);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  const auto meta = MetaOf(*original);
+  for (const char* key : {"epoch", "seed"}) {
+    for (const std::string& value : Malformed(meta.at(key))) {
+      WriteWithMeta(*original, path, key, value);
+      FactorGraph resumed = MakeLearnGraph();
+      EXPECT_FALSE(Learner(&resumed).Learn(options).ok()) << key << "=" << value;
+    }
+  }
+}
+
 // ---- Incremental inference: materialization resume --------------------
 
 class InferenceResumeTest : public ::testing::Test {
@@ -337,6 +396,111 @@ TEST_F(InferenceResumeTest, SamplingMaterializationResumesBitIdentically) {
         << "marginal " << v << " differs after resume";
   }
   std::remove(path.c_str());
+}
+
+TEST_F(InferenceResumeTest, MalformedCheckpointNumbersAreRefused) {
+  FactorGraph graph = MakeLearnGraph();
+  IncrementalOptions options;
+  options.full_burn_in = 50;
+  options.num_samples = 100;
+  options.seed = 31;
+  options.checkpoint_interval = 20;
+  options.checkpoint_path = ::testing::TempDir() + "sampling_malformed.snap";
+  std::remove(options.checkpoint_path.c_str());
+  ASSERT_TRUE(
+      Failpoints::Instance().Configure("inference.sweep=error(skip=70)").ok());
+  IncrementalInference interrupted(&graph, MaterializationStrategy::kSampling,
+                                   options);
+  ASSERT_FALSE(interrupted.Materialize().ok());
+  Failpoints::Instance().Reset();
+
+  auto original = ReadFileBytes(options.checkpoint_path);
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  const auto meta = MetaOf(*original);
+  for (const char* key : {"sweeps", "num_accumulated", "seed"}) {
+    for (const std::string& value : Malformed(meta.at(key))) {
+      WriteWithMeta(*original, options.checkpoint_path, key, value);
+      IncrementalInference resumed(&graph, MaterializationStrategy::kSampling,
+                                   options);
+      EXPECT_FALSE(resumed.Materialize().ok()) << key << "=" << value;
+    }
+  }
+  std::remove(options.checkpoint_path.c_str());
+}
+
+// ---- Distributed shard: checkpoint restore -----------------------------
+
+/// Play the coordinator for one shard-0 worker: hello, `assign`, and a
+/// finish right after the worker's ready. Returns the worker's status.
+Status RunShardAgainst(const AssignMsg& assign) {
+  auto listener = WireListener::Listen("tcp:127.0.0.1:0");
+  if (!listener.ok()) return listener.status();
+  ShardWorkerOptions options;
+  options.endpoint = listener->endpoint();
+  options.io_deadline_ms = 5000;
+  Status worker_status;
+  std::thread worker([&] { worker_status = RunShardWorker(options); });
+  auto conn = listener->Accept(Deadline::AfterMillis(5000));
+  if (conn.ok() && conn->RecvFrame(Deadline::AfterMillis(5000)).ok() &&
+      conn->SendFrame(kMsgAssign, EncodeAssign(assign), Deadline::AfterMillis(5000))
+          .ok()) {
+    auto ready = conn->RecvFrame(Deadline::AfterMillis(5000));
+    if (ready.ok() && ready->type == kMsgReady) {
+      (void)conn->SendFrame(kMsgFinish, "", Deadline::AfterMillis(5000));
+    }
+  }
+  worker.join();
+  return worker_status;
+}
+
+TEST(ShardCheckpointTest, MalformedCheckpointNumbersAreRefused) {
+  FactorGraph graph = MakeLearnGraph();
+  ASSERT_TRUE(graph.Finalize().ok());
+  GraphSnapshot subgraph;
+  subgraph.has_graph = true;
+  subgraph.graph = graph;
+  AssignMsg assign;
+  assign.num_owned = graph.num_variables();
+  for (uint32_t v = 0; v < graph.num_variables(); ++v) {
+    assign.local_to_global.push_back(v);
+  }
+  assign.epochs = 2;
+  assign.learn_seed = 17;
+  assign.inference_seed = 23;
+  assign.checkpoint_path = ::testing::TempDir() + "shard_malformed.snap";
+  assign.graph_snapshot = EncodeGraphSnapshot(subgraph);
+
+  // A learn-phase checkpoint at epoch 0, as WriteShardCheckpoint lays it out.
+  GraphSnapshot checkpoint;
+  checkpoint.meta = {{"kind", "dist-shard"},
+                     {"shard", "0"},
+                     {"num_shards", "1"},
+                     {"graph_crc", std::to_string(GraphFingerprint(graph))},
+                     {"learn_seed", "17"},
+                     {"inference_seed", "23"},
+                     {"phase", "0"},
+                     {"next", "0"},
+                     {"lr", FormatExactDouble(0.1)},
+                     {"done_sweeps", "0"}};
+  for (uint32_t w = 0; w < graph.num_weights(); ++w) {
+    checkpoint.weights.push_back(graph.weight_value(w));
+  }
+  checkpoint.chains.assign(2, std::vector<uint8_t>(graph.num_variables(), 0));
+  checkpoint.rng_states = {{1, 2}, {3, 4}};
+  const std::string original = EncodeGraphSnapshot(checkpoint);
+
+  // The well-formed checkpoint restores.
+  ASSERT_TRUE(WriteBytesAtomic(original, assign.checkpoint_path).ok());
+  Status status = RunShardAgainst(assign);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+
+  for (const char* key : {"next", "graph_crc", "done_sweeps", "learn_seed"}) {
+    for (const std::string& value : Malformed(checkpoint.meta.at(key))) {
+      WriteWithMeta(original, assign.checkpoint_path, key, value);
+      EXPECT_FALSE(RunShardAgainst(assign).ok()) << key << "=" << value;
+    }
+  }
+  std::remove(assign.checkpoint_path.c_str());
 }
 
 TEST_F(InferenceResumeTest, VariationalCheckpointIsReused) {
@@ -552,6 +716,31 @@ TEST(PipelineRecoveryTest, ResumeFromForeignRunDirectoryIsRejected) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("different pipeline"), std::string::npos);
+}
+
+TEST(PipelineRecoveryTest, MalformedManifestFingerprintIsRefused) {
+  SpouseCorpus corpus = RecoveryCorpus();
+  std::string dir = ::testing::TempDir() + "malformed_manifest";
+  ASSERT_TRUE(RunDirectory(dir).Create().ok());
+  ASSERT_TRUE(RunDirectory(dir).Clear().ok());
+  auto first =
+      MakeSpousePipeline(corpus, SpouseAppOptions(), RecoveryPipelineOptions());
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE((*first)->SetRunDirectory(dir).ok());
+  ASSERT_TRUE((*first)->Run().ok());
+  auto manifest = RunDirectory(dir).ReadManifest();
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+
+  for (const std::string& value : Malformed(manifest->at("graph_crc"))) {
+    auto kv = *manifest;
+    kv["graph_crc"] = value;
+    ASSERT_TRUE(RunDirectory(dir).WriteManifest(kv).ok());
+    auto pipeline =
+        MakeSpousePipeline(corpus, SpouseAppOptions(), RecoveryPipelineOptions());
+    ASSERT_TRUE(pipeline.ok());
+    ASSERT_TRUE((*pipeline)->ResumeFrom(dir).ok());
+    EXPECT_FALSE((*pipeline)->Run().ok()) << "graph_crc=" << value;
+  }
 }
 
 }  // namespace
