@@ -169,7 +169,9 @@ constexpr char kEndTag[] = "END.";
 
 /// Pad length that puts an aligned section's content, which follows the
 /// one-byte pad length and the pad, on an 8-aligned file offset.
-size_t AlignmentPad(size_t payload_offset) { return (8 - ((payload_offset + 1) & 7)) & 7; }
+size_t AlignmentPad(size_t payload_offset) {
+  return (8 - ((payload_offset + 1) & 7)) & 7;
+}
 
 /// The section CRC covers the tag, the u64 length and the payload.
 uint32_t SectionCrc(std::string_view tag, std::string_view payload) {
