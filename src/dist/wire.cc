@@ -220,6 +220,7 @@ Status WireConn::SendFrame(uint32_t type, std::string_view payload,
         StrFormat("frame payload of %zu bytes exceeds cap", payload.size()));
   }
   ByteWriter frame;
+  frame.Reserve(kFrameHeaderBytes + payload.size() + 4);
   frame.U32(kWireMagic);
   frame.U32(type);
   frame.U64(payload.size());

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "util/status.h"
 
@@ -39,6 +40,7 @@ class ByteWriter {
   /// Zero bytes up to the next multiple of 8 of the bytes written so far.
   void Pad8() { out_.append((8 - (out_.size() & 7)) & 7, '\0'); }
 
+  void Reserve(size_t n) { out_.reserve(n); }
   size_t size() const { return out_.size(); }
   const std::string& str() const { return out_; }
   std::string Take() { return std::move(out_); }

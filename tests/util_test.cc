@@ -3,7 +3,10 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <string>
+#include <string_view>
 
+#include "util/bytes.h"
 #include "util/crc32c.h"
 #include "util/hash.h"
 #include "util/result.h"
@@ -14,6 +17,77 @@
 
 namespace dd {
 namespace {
+
+TEST(ByteCodecTest, RoundTripsEveryField) {
+  ByteWriter w;
+  w.U8(0xab);
+  w.U32(0x01020304);
+  w.U64(0x1122334455667788ull);
+  w.F64(-0.1);
+  w.Pad8();
+  w.Bytes("hello");
+  w.Raw("xyz");
+  EXPECT_EQ(w.size(), 24u + 8 + 5 + 3);
+  // Little-endian images.
+  EXPECT_EQ(w.str().substr(1, 4), std::string("\x04\x03\x02\x01", 4));
+
+  const std::string bytes = w.Take();
+  ByteReader r(bytes);
+  uint8_t u8 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  double f64 = 0;
+  std::string_view view;
+  ASSERT_TRUE(r.U8(&u8, "u8").ok());
+  ASSERT_TRUE(r.U32(&u32, "u32").ok());
+  ASSERT_TRUE(r.U64(&u64, "u64").ok());
+  ASSERT_TRUE(r.F64(&f64, "f64").ok());
+  ASSERT_TRUE(r.Pad8("pad").ok());
+  ASSERT_TRUE(r.Bytes(&view, "bytes").ok());
+  EXPECT_EQ(view, "hello");
+  ASSERT_TRUE(r.Skip(1, "x").ok());
+  ASSERT_TRUE(r.Raw(2, &view, "yz").ok());
+  EXPECT_EQ(view, "yz");
+  EXPECT_TRUE(r.ExpectEnd("buffer").ok());
+  EXPECT_EQ(u8, 0xab);
+  EXPECT_EQ(u32, 0x01020304u);
+  EXPECT_EQ(u64, 0x1122334455667788ull);
+  EXPECT_EQ(f64, -0.1);
+}
+
+TEST(ByteCodecTest, FailuresNameFieldAndOffset) {
+  ByteWriter w;
+  w.U32(7);
+  w.U64(uint64_t{1} << 40);  // a length far past the end
+  w.U8(1);                   // a nonzero pad byte
+  w.Raw(std::string(3, '\0'));
+  const std::string bytes = w.Take();
+
+  ByteReader r(bytes);
+  uint32_t u32 = 0;
+  ASSERT_TRUE(r.U32(&u32, "count").ok());
+  std::string_view view;
+  Status st = r.Bytes(&view, "name");
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_NE(st.message().find("name at offset 4"), std::string::npos) << st.ToString();
+  EXPECT_EQ(r.offset(), 4u);  // a failed read consumes nothing
+  size_t start = 0;
+  st = r.Array(8, ~uint64_t{0}, &start, "rows");  // count * 8 overflows
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_NE(st.message().find("rows at offset 4"), std::string::npos) << st.ToString();
+  ASSERT_TRUE(r.Skip(8, "length").ok());
+  st = r.Pad8("tail");
+  EXPECT_NE(st.message().find("nonzero tail pad byte at offset 12"), std::string::npos)
+      << st.ToString();
+  st = r.ExpectEnd("record");
+  EXPECT_NE(st.message().find("4 trailing bytes after record at offset 12"),
+            std::string::npos)
+      << st.ToString();
+  uint64_t word = 0;
+  st = r.U64(&word, "word");
+  EXPECT_NE(st.message().find("truncated word at offset 12"), std::string::npos)
+      << st.ToString();
+}
 
 TEST(Crc32cTest, KnownVectors) {
   // Check value from the CRC catalogue (CRC-32C over "123456789"); pins
