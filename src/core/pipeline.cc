@@ -1,6 +1,5 @@
 #include "core/pipeline.h"
 
-
 #include "core/diagnostics.h"
 #include "ddlog/parser.h"
 #include "stream/ingester.h"
