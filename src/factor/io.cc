@@ -358,28 +358,25 @@ Result<std::string_view> SnapshotView::Section(const std::string& tag) const {
 }
 
 Result<std::string_view> SnapshotView::AlignedSection(const std::string& tag) const {
-  auto it = sections_.find(tag);
-  if (it == sections_.end()) {
-    return Status::NotFound("snapshot has no section '" + tag + "'");
-  }
-  const Span& span = it->second;
-  ByteReader r(span.payload);
+  DD_ASSIGN_OR_RETURN(std::string_view payload, Section(tag));
+  const size_t offset = sections_.at(tag).offset;
+  ByteReader r(payload);
   uint8_t pad = 0;
   DD_RETURN_IF_ERROR(r.U8(&pad, "section pad length"));
-  const size_t expected = AlignmentPad(span.offset);
+  const size_t expected = AlignmentPad(offset);
   if (pad != expected) {
     return Status::Corruption(
         StrFormat("section '%s' pad length %u does not match file offset %zu "
                   "(expected %zu)",
-                  tag.c_str(), pad, span.offset, expected));
+                  tag.c_str(), pad, offset, expected));
   }
   std::string_view pad_bytes;
   DD_RETURN_IF_ERROR(r.Raw(pad, &pad_bytes, "section pad"));
   if (pad_bytes.find_first_not_of('\0') != std::string_view::npos) {
     return Status::Corruption(StrFormat("nonzero pad byte in section '%s' at offset %zu",
-                                        tag.c_str(), span.offset));
+                                        tag.c_str(), offset));
   }
-  return span.payload.substr(r.offset());
+  return payload.substr(r.offset());
 }
 
 // ---- META ---------------------------------------------------------------
