@@ -6,14 +6,16 @@
 //
 // After the google-benchmark run, main() performs a head-to-head
 // interpreted-vs-compiled comparison on an ads/spouse-scale graph and
-// writes BENCH_kernels.json (consumed by EXPERIMENTS.md).
+// writes BENCH_kernels.json (gated by ci/bench_gate.py).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <vector>
 
+#include "bench_report.h"
 #include "inference/gibbs.h"
 #include "inference/meanfield.h"
 #include "query/evaluator.h"
@@ -161,19 +163,9 @@ BENCHMARK(BM_SigmoidSample);
 /// to BENCH_kernels.json. Both paths visit every variable in the same
 /// order against the same frozen assignment, so the comparison isolates
 /// the delta kernel itself.
-/// Env override with a default, for CI smoke sizing (DD_BENCH_VARS,
-/// DD_BENCH_SWEEPS). Keeping the defaults means the committed baseline
-/// numbers stay comparable run to run.
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  int parsed = std::atoi(value);
-  return parsed > 0 ? parsed : fallback;
-}
-
-void RunHeadToHead() {
+bool RunHeadToHead() {
   SyntheticGraphOptions options;
-  options.num_variables = EnvInt("DD_BENCH_VARS", 100000);
+  options.num_variables = 100000;
   options.factors_per_variable = 3.0;
   options.seed = 7;
   FactorGraph graph = MakeRandomGraph(options);
@@ -183,7 +175,7 @@ void RunHeadToHead() {
   Rng rng(11);
   for (auto& a : assignment) a = rng.NextBernoulli(0.5);
 
-  const int sweeps = EnvInt("DD_BENCH_SWEEPS", 20);
+  const int sweeps = 20;
   volatile double sink = 0.0;
   bool agree = true;
 
@@ -195,25 +187,22 @@ void RunHeadToHead() {
     if (std::memcmp(&a, &b, sizeof(a)) != 0) agree = false;
   }
 
-  Stopwatch interpreted_clock;
-  for (int s = 0; s < sweeps; ++s) {
-    for (uint32_t v = 0; v < nv; ++v) {
-      sink += graph.PotentialDelta(v, assignment.data());
+  // Each path's ns/delta is its median sweep, so a host stall costs the
+  // sweeps it hits rather than the measurement.
+  auto median_sweep_ns = [&](auto delta) {
+    std::vector<double> seconds;
+    for (int s = 0; s < sweeps; ++s) {
+      Stopwatch clock;
+      for (uint32_t v = 0; v < nv; ++v) sink += delta(v);
+      seconds.push_back(clock.Seconds());
     }
-  }
-  const double interpreted_s = interpreted_clock.Seconds();
-
-  Stopwatch compiled_clock;
-  for (int s = 0; s < sweeps; ++s) {
-    for (uint32_t v = 0; v < nv; ++v) {
-      sink += graph.PotentialDeltaCompiled(v, assignment.data());
-    }
-  }
-  const double compiled_s = compiled_clock.Seconds();
-
-  const double deltas = static_cast<double>(sweeps) * nv;
-  const double interpreted_ns = interpreted_s * 1e9 / deltas;
-  const double compiled_ns = compiled_s * 1e9 / deltas;
+    std::sort(seconds.begin(), seconds.end());
+    return seconds[sweeps / 2] * 1e9 / static_cast<double>(nv);
+  };
+  const double interpreted_ns = median_sweep_ns(
+      [&](uint32_t v) { return graph.PotentialDelta(v, assignment.data()); });
+  const double compiled_ns = median_sweep_ns(
+      [&](uint32_t v) { return graph.PotentialDeltaCompiled(v, assignment.data()); });
   const double speedup = interpreted_ns / compiled_ns;
 
   std::printf("\n=== head-to-head: interpreted CSR vs compiled streams ===\n");
@@ -223,30 +212,14 @@ void RunHeadToHead() {
               "speedup: %.2fx   agree: %s\n",
               interpreted_ns, compiled_ns, speedup, agree ? "yes" : "NO");
 
-  FILE* out = std::fopen("BENCH_kernels.json", "w");
-  if (out) {
-    std::fprintf(out,
-                 "{\n"
-                 "  \"experiment\": \"EXP-KERN head-to-head\",\n"
-                 "  \"graph\": {\n"
-                 "    \"num_variables\": %zu,\n"
-                 "    \"num_factors\": %zu,\n"
-                 "    \"num_edges\": %zu,\n"
-                 "    \"kernel_stream_words\": %zu\n"
-                 "  },\n"
-                 "  \"sweeps\": %d,\n"
-                 "  \"interpreted_ns_per_delta\": %.2f,\n"
-                 "  \"compiled_ns_per_delta\": %.2f,\n"
-                 "  \"speedup\": %.3f,\n"
-                 "  \"deltas_agree\": %s\n"
-                 "}\n",
-                 nv, graph.num_factors(), graph.num_edges(),
-                 graph.kernel_stream_words(), sweeps, interpreted_ns, compiled_ns,
-                 speedup, agree ? "true" : "false");
-    std::fclose(out);
-    std::printf("wrote BENCH_kernels.json\n");
-  }
   (void)sink;
+
+  BenchReport report("bench_kernels", "EXP-KERN head-to-head");
+  report.Identity("deltas_agree", agree);
+  report.Lower("interpreted_ns_per_delta", interpreted_ns, "ns");
+  report.Lower("compiled_ns_per_delta", compiled_ns, "ns", {.tolerance = 0.55});
+  report.Higher("speedup", speedup, "x");
+  return report.Write("BENCH_kernels.json") && agree;
 }
 
 }  // namespace
@@ -257,6 +230,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  dd::RunHeadToHead();
-  return 0;
+  return dd::RunHeadToHead() ? 0 : 2;
 }

@@ -7,18 +7,17 @@
 // generator, scaled up) and the paper's spouse application grounded from
 // extractor output.
 //
-// Writes BENCH_grounding.json (ratcheted by ci/bench_gate.py). Speedup
-// is only meaningful when the machine actually has the cores; the JSON
-// records hardware_concurrency so the gate can tell a regression from a
-// small machine.
+// Writes BENCH_grounding.json (gated by ci/bench_gate.py). The speedups
+// carry no bar: on a 4-core host the run-to-run spread of these 50 ms
+// groundings straddles 1.0x (EXPERIMENTS.md EXP-PAR), so even a 1.0x
+// floor would flake.
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_report.h"
 #include "core/udf.h"
 #include "ddlog/parser.h"
 #include "factor/io.h"
@@ -31,13 +30,6 @@
 #include "util/timer.h"
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  int parsed = std::atoi(value);
-  return parsed > 0 ? parsed : fallback;
-}
 
 struct RunResult {
   double seconds = 0;
@@ -127,17 +119,17 @@ RunResult GroundSpouse(const dd::DdlogProgram& program,
 }  // namespace
 
 int main() {
-  const size_t hw = dd::HardwareThreads();
-  const int repeats = EnvInt("DD_BENCH_REPEATS", 3);
+  const int repeats = 5;
   const std::vector<size_t> thread_counts = {1, 2, 4, 8};
 
   std::printf("=== EXP-PAR: morsel-parallel grounding scaling ===\n");
-  std::printf("hardware_concurrency: %zu  repeats (best-of): %d\n\n", hw, repeats);
+  std::printf("hardware_concurrency: %zu  repeats (best-of): %d\n\n",
+              dd::HardwareThreads(), repeats);
 
   // --- Synthetic workload (Fig. 2-scale candidate/feature join).
   dd::SyntheticProgramOptions sopt;
   sopt.seed = 7;
-  sopt.num_sentences = static_cast<size_t>(EnvInt("DD_BENCH_GROUND_SENTENCES", 1500));
+  sopt.num_sentences = 1500;
   sopt.num_entities = 60;
   sopt.vocab_size = 200;
   sopt.tokens_per_sentence = 8;
@@ -145,7 +137,7 @@ int main() {
 
   // --- Spouse workload (the paper's running example, §3/§5).
   dd::SpouseCorpusOptions corpus_options;
-  corpus_options.num_documents = static_cast<size_t>(EnvInt("DD_BENCH_GROUND_DOCS", 300));
+  corpus_options.num_documents = 300;
   corpus_options.seed = 51;
   dd::SpouseCorpus corpus = dd::GenerateSpouseCorpus(corpus_options);
   dd::SpouseAppOptions app;
@@ -158,68 +150,40 @@ int main() {
   auto spouse_base =
       ExtractSpouseBase(corpus, corpus_options.num_documents, extractor);
 
-  std::map<size_t, RunResult> synthetic, spouse;
+  // Every repeat runs every thread count, so the best-of times behind a
+  // speedup come from the same stretch of the host's drifting speed. Every
+  // run's graph must match the serial one.
+  std::map<size_t, RunResult> synthetic, spouse;  // best run per thread count
   bool identical = true;
-  std::printf("%-10s %-16s %-16s %-10s %s\n", "threads", "synthetic(s)",
-              "spouse(s)", "speedup", "crc-match");
-  for (size_t t : thread_counts) {
-    RunResult best_syn, best_sp;
-    for (int rep = 0; rep < repeats; ++rep) {
+  for (int rep = 0; rep < repeats; ++rep) {
+    for (size_t t : thread_counts) {
       RunResult syn = GroundSynthetic(sopt, t);
       RunResult sp = GroundSpouse(*parsed, spouse_base, t);
       if (!syn.ok || !sp.ok) {
         std::fprintf(stderr, "grounding failed at %zu threads\n", t);
         return 1;
       }
-      if (rep == 0 || syn.seconds < best_syn.seconds) best_syn = syn;
-      if (rep == 0 || sp.seconds < best_sp.seconds) best_sp = sp;
+      if (rep == 0 || syn.seconds < synthetic[t].seconds) synthetic[t] = syn;
+      if (rep == 0 || sp.seconds < spouse[t].seconds) spouse[t] = sp;
+      identical = identical && syn.crc == synthetic[1].crc && sp.crc == spouse[1].crc;
     }
-    synthetic[t] = best_syn;
-    spouse[t] = best_sp;
-    bool match = best_syn.crc == synthetic[1].crc && best_sp.crc == spouse[1].crc;
-    identical = identical && match;
-    std::printf("%-10zu %-16.4f %-16.4f %6.2fx    %s\n", t, best_syn.seconds,
-                best_sp.seconds, synthetic[1].seconds / best_syn.seconds,
-                match ? "yes" : "NO");
   }
+  std::printf("%-10s %-16s %-16s %s\n", "threads", "synthetic(s)", "spouse(s)", "speedup");
+  for (size_t t : thread_counts) {
+    std::printf("%-10zu %-16.4f %-16.4f %6.2fx\n", t, synthetic[t].seconds,
+                spouse[t].seconds, synthetic[1].seconds / synthetic[t].seconds);
+  }
+  std::printf("graphs identical to the serial oracle: %s\n", identical ? "yes" : "NO");
 
+  dd::BenchReport report("bench_parallel_grounding", "EXP-PAR morsel-parallel grounding");
+  report.Identity("graphs_identical", identical);
+  for (size_t t : thread_counts) {
+    report.Lower("synthetic_t" + std::to_string(t) + "_s", synthetic[t].seconds, "s");
+    report.Lower("spouse_t" + std::to_string(t) + "_s", spouse[t].seconds, "s");
+  }
   auto speedup = [&](size_t t) { return synthetic[1].seconds / synthetic[t].seconds; };
-
-  FILE* out = std::fopen("BENCH_grounding.json", "w");
-  if (out) {
-    std::fprintf(
-        out,
-        "{\n"
-        "  \"experiment\": \"EXP-PAR morsel-parallel grounding\",\n"
-        "  \"hardware_concurrency\": %zu,\n"
-        "  \"repeats\": %d,\n"
-        "  \"synthetic\": {\n"
-        "    \"num_variables\": %zu,\n"
-        "    \"num_factors\": %zu,\n"
-        "    \"seconds\": {\"t1\": %.4f, \"t2\": %.4f, \"t4\": %.4f, \"t8\": %.4f}\n"
-        "  },\n"
-        "  \"spouse\": {\n"
-        "    \"num_variables\": %zu,\n"
-        "    \"num_factors\": %zu,\n"
-        "    \"seconds\": {\"t1\": %.4f, \"t2\": %.4f, \"t4\": %.4f, \"t8\": %.4f}\n"
-        "  },\n"
-        "  \"speedup_2t\": %.3f,\n"
-        "  \"speedup_4t\": %.3f,\n"
-        "  \"speedup_8t\": %.3f,\n"
-        "  \"graphs_identical\": %s\n"
-        "}\n",
-        hw, repeats, synthetic[1].num_variables, synthetic[1].num_factors,
-        synthetic[1].seconds, synthetic[2].seconds, synthetic[4].seconds,
-        synthetic[8].seconds, spouse[1].num_variables, spouse[1].num_factors,
-        spouse[1].seconds, spouse[2].seconds, spouse[4].seconds, spouse[8].seconds,
-        speedup(2), speedup(4), speedup(8), identical ? "true" : "false");
-    std::fclose(out);
-    std::printf("\nwrote BENCH_grounding.json\n");
-  }
-  if (hw < 2) {
-    std::printf("note: this machine has %zu core(s); parallel speedups above are\n"
-                "oversubscribed and reflect scheduling overhead, not scaling.\n",
-                hw);
-  }
-  return identical ? 0 : 2;
+  report.Higher("speedup_2t", speedup(2), "x");
+  report.Higher("speedup_4t", speedup(4), "x");
+  report.Higher("speedup_8t", speedup(8), "x");
+  return (report.Write("BENCH_grounding.json") && identical) ? 0 : 2;
 }

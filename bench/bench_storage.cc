@@ -18,14 +18,14 @@
 //  3. Memory: structural bytes (columnar arrays vs. per-row heap tuples)
 //     plus the measured resident-set growth while building each.
 //
-// Writes BENCH_storage.json (ratcheted by ci/bench_gate.py storage mode).
+// Writes BENCH_storage.json (gated by ci/bench_gate.py).
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "core/udf.h"
 #include "ddlog/parser.h"
 #include "factor/io.h"
@@ -38,13 +38,6 @@
 #include "util/timer.h"
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  int parsed = std::atoi(value);
-  return parsed > 0 ? parsed : fallback;
-}
 
 /// Resident-set size in bytes from /proc/self/statm (0 where absent).
 size_t ResidentBytes() {
@@ -177,13 +170,13 @@ bool GroundSpouseGraph(size_t num_docs, dd::FactorGraph* graph) {
 }  // namespace
 
 int main() {
-  const size_t hw = dd::HardwareThreads();
-  const int repeats = EnvInt("DD_BENCH_REPEATS", 5);
-  const size_t rows = static_cast<size_t>(EnvInt("DD_BENCH_STORE_ROWS", 2000000));
-  const size_t docs = static_cast<size_t>(EnvInt("DD_BENCH_STORE_DOCS", 200));
+  const int repeats = 5;
+  const size_t rows = 2000000;
+  const size_t docs = 200;
 
   std::printf("=== EXP-STORE: columnar storage + zero-copy snapshots ===\n");
-  std::printf("hardware_concurrency: %zu  repeats (best-of): %d\n\n", hw, repeats);
+  std::printf("hardware_concurrency: %zu  repeats (best-of): %d\n\n",
+              dd::HardwareThreads(), repeats);
 
   // --- 1. Scan throughput + 3. memory footprint.
   size_t rss0 = ResidentBytes();
@@ -298,38 +291,21 @@ int main() {
   std::printf("  speedup               %10.1fx  graph %s\n\n", load_speedup,
               graph_identical ? "identical" : "DIFFERENT");
 
-  FILE* out = std::fopen("BENCH_storage.json", "w");
-  if (out) {
-    std::fprintf(
-        out,
-        "{\n"
-        "  \"experiment\": \"EXP-STORE columnar storage + mmap snapshots\",\n"
-        "  \"hardware_concurrency\": %zu,\n"
-        "  \"repeats\": %d,\n"
-        "  \"scan_rows\": %zu,\n"
-        "  \"columnar_scan_mtuples_per_sec\": %.1f,\n"
-        "  \"row_scan_mtuples_per_sec\": %.1f,\n"
-        "  \"columnar_scan_speedup\": %.3f,\n"
-        "  \"scans_agree\": %s,\n"
-        "  \"columnar_bytes\": %zu,\n"
-        "  \"row_store_bytes\": %zu,\n"
-        "  \"memory_reduction\": %.3f,\n"
-        "  \"rss_delta_columnar_bytes\": %zu,\n"
-        "  \"rss_delta_row_store_bytes\": %zu,\n"
-        "  \"spouse_num_variables\": %zu,\n"
-        "  \"spouse_num_factors\": %zu,\n"
-        "  \"text_load_seconds\": %.6f,\n"
-        "  \"mmap_load_seconds\": %.6f,\n"
-        "  \"mmap_load_speedup\": %.2f,\n"
-        "  \"graph_identical\": %s\n"
-        "}\n",
-        hw, repeats, rows, col_mtps, row_mtps, scan_speedup,
-        scans_agree ? "true" : "false", columnar_bytes, row_bytes,
-        memory_reduction, rss_columnar_delta, rss_row_delta,
-        graph.num_variables(), graph.num_factors(), text_best, mmap_best,
-        load_speedup, graph_identical ? "true" : "false");
-    std::fclose(out);
-    std::printf("wrote BENCH_storage.json\n");
-  }
-  return (scans_agree && graph_identical) ? 0 : 2;
+  // Floors: DESIGN.md §12's claims, with margin far beyond timing noise.
+  dd::BenchReport report("bench_storage", "EXP-STORE columnar storage + mmap snapshots");
+  report.Identity("scans_agree", scans_agree);
+  report.Identity("graph_identical", graph_identical);
+  report.Higher("columnar_scan_mtuples_per_sec", col_mtps, "Mtuples/s");
+  report.Higher("row_scan_mtuples_per_sec", row_mtps, "Mtuples/s");
+  report.Higher("columnar_scan_speedup", scan_speedup, "x", {.tolerance = 0.20, .limit = 2.0});
+  report.Lower("columnar_bytes", static_cast<double>(columnar_bytes), "bytes");
+  report.Lower("row_store_bytes", static_cast<double>(row_bytes), "bytes");
+  report.Higher("memory_reduction", memory_reduction, "x", {.limit = 1.0});
+  report.Lower("rss_delta_columnar_bytes", static_cast<double>(rss_columnar_delta), "bytes");
+  report.Lower("rss_delta_row_store_bytes", static_cast<double>(rss_row_delta), "bytes");
+  report.Lower("text_load_s", text_best, "s");
+  report.Lower("mmap_load_s", mmap_best, "s");
+  report.Higher("mmap_load_speedup", load_speedup, "x", {.tolerance = 0.45, .limit = 10.0});
+  const bool wrote = report.Write("BENCH_storage.json");
+  return (wrote && scans_agree && graph_identical) ? 0 : 2;
 }

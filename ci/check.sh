@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate: plain build + tests, a perf-regression gate over the
-# compiled kernel, then the same suite under AddressSanitizer +
-# UndefinedBehaviorSanitizer (catches the OOB/UB class of bugs the
-# compiled kernel streams could introduce).
+# Tier-1 gate: plain build + tests, the bench gates, the perfbench smoke,
+# then the concurrency tests under ThreadSanitizer and the whole suite
+# under AddressSanitizer + UndefinedBehaviorSanitizer (catches the OOB/UB
+# class of bugs the compiled kernel streams could introduce).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,106 +11,20 @@ cmake -B build -S . >/dev/null
 cmake --build build -j
 ctest --test-dir build --output-on-failure
 
-# Every bench gate below tees through this log; the ratchet summary at
-# the end greps it to report which bars ran hard vs soft on this machine.
-gate_log=build/bench_gate_summary.log
-: > "$gate_log"
-
-echo "=== bench gate (compiled kernel ns/delta ratchet) ==="
-# Smoke-sized head-to-head: full 100k-variable graph (cache behavior must
-# match the committed baseline) but few sweeps, google-benchmarks skipped.
-# The fresh JSON lands in build/ and is compared against the committed
-# baseline; >15% regression fails. DD_BENCH_GATE_SKIP=1 overrides.
+echo "=== bench gates (every committed BENCH_*.json) ==="
+# Each committed baseline names the binary that writes it ("bench"); the
+# fresh file lands in build/ and ci/bench_gate.py compares the two, so
+# adding a bench means committing its baseline. The google-benchmark
+# binaries skip their microbenchmarks under the filter; the others take
+# no arguments. DD_BENCH_GATE_SKIP=1 skips the section on a loaded machine.
 if [ "${DD_BENCH_GATE_SKIP:-0}" = "1" ]; then
-  echo "bench gate skipped (DD_BENCH_GATE_SKIP=1)"
+  echo "bench gates skipped (DD_BENCH_GATE_SKIP=1)"
 else
-  (cd build && DD_BENCH_SWEEPS="${DD_BENCH_SWEEPS:-4}" \
-      ./bench/bench_kernels --benchmark_filter='^$')
-  python3 ci/bench_gate.py BENCH_kernels.json build/BENCH_kernels.json | tee -a "$gate_log"
-fi
-
-echo "=== bench gate (parallel grounding: graph identity + speedup ratchet) ==="
-# Serial-vs-parallel grounding over the synthetic + spouse workloads.
-# Graph CRC identity across thread counts is enforced unconditionally;
-# the speedup ratchet only engages on machines with >= 2 cores (see
-# ci/bench_gate.py). Same DD_BENCH_GATE_SKIP / tolerance overrides.
-if [ "${DD_BENCH_GATE_SKIP:-0}" = "1" ]; then
-  echo "bench gate skipped (DD_BENCH_GATE_SKIP=1)"
-else
-  (cd build && ./bench/bench_parallel_grounding)
-  python3 ci/bench_gate.py BENCH_grounding.json build/BENCH_grounding.json | tee -a "$gate_log"
-fi
-
-echo "=== bench gate (scheduler: recursive strata + phase overlap) ==="
-# Recursive-strata grounding CRC identity and overlapped-vs-sequential
-# pipeline marginal identity are enforced unconditionally; the speedup
-# and overlap-ratio ratchets engage on machines with >= 2 cores (see
-# ci/bench_gate.py). Same DD_BENCH_GATE_SKIP / tolerance overrides.
-if [ "${DD_BENCH_GATE_SKIP:-0}" = "1" ]; then
-  echo "bench gate skipped (DD_BENCH_GATE_SKIP=1)"
-else
-  (cd build && ./bench/bench_scheduler)
-  python3 ci/bench_gate.py BENCH_scheduler.json build/BENCH_scheduler.json | tee -a "$gate_log"
-fi
-
-echo "=== bench gate (storage: scan/load identity + floor ratchets) ==="
-# Columnar-vs-row scan agreement and mmap-vs-text graph identity are
-# enforced unconditionally; the DESIGN.md §12 performance floors (2x
-# scan, 10x load, memory below the row store) gate on any machine since
-# they are single-threaded ratios. Same DD_BENCH_GATE_SKIP override.
-if [ "${DD_BENCH_GATE_SKIP:-0}" = "1" ]; then
-  echo "bench gate skipped (DD_BENCH_GATE_SKIP=1)"
-else
-  (cd build && ./bench/bench_storage)
-  python3 ci/bench_gate.py BENCH_storage.json build/BENCH_storage.json | tee -a "$gate_log"
-fi
-
-echo "=== bench gate (serving: resilience identities + QPS/p99 floors) ==="
-# Epoch-swapped snapshot serving under closed-loop load, with and without
-# mid-run swaps. The DESIGN.md §13 resilience identities (bitwise
-# response consistency, full request accounting, monotone epochs, zero
-# drops across swaps) are enforced unconditionally; QPS/p99 have wide
-# absolute floors and a warn-only baseline ratchet. Same overrides.
-if [ "${DD_BENCH_GATE_SKIP:-0}" = "1" ]; then
-  echo "bench gate skipped (DD_BENCH_GATE_SKIP=1)"
-else
-  (cd build && ./bench/bench_serving)
-  python3 ci/bench_gate.py BENCH_serving.json build/BENCH_serving.json | tee -a "$gate_log"
-fi
-
-echo "=== bench gate (streaming: table identity + byte budget + MB/s floor) ==="
-# The streaming front end ingesting the logs corpus at 1/2/4/8 workers.
-# Table CRC identity against the sequential batch oracle and the
-# in-flight byte budget are enforced unconditionally; single-worker MB/s
-# has a wide absolute floor, and the multi-worker scaling ratchet
-# engages on machines with >= 2 cores (see ci/bench_gate.py). Same
-# DD_BENCH_GATE_SKIP / tolerance overrides.
-if [ "${DD_BENCH_GATE_SKIP:-0}" = "1" ]; then
-  echo "bench gate skipped (DD_BENCH_GATE_SKIP=1)"
-else
-  (cd build && ./bench/bench_streaming)
-  python3 ci/bench_gate.py BENCH_streaming.json build/BENCH_streaming.json | tee -a "$gate_log"
-fi
-
-echo "=== bench gate (distributed: 1-shard identity + inference fidelity) ==="
-# Sharded learning + inference across coordinator/worker loopback. The
-# DESIGN.md §15 identities are enforced unconditionally: a 1-shard run
-# bitwise-matches the single-node sampler, and 2-/4-shard inference over
-# a fixed model stays within the 0.05 deviation ceiling (deterministic
-# per seed, machine-independent). The shard-speedup ratchet engages on
-# machines with >= 2 cores (see ci/bench_gate.py). Same overrides.
-if [ "${DD_BENCH_GATE_SKIP:-0}" = "1" ]; then
-  echo "bench gate skipped (DD_BENCH_GATE_SKIP=1)"
-else
-  (cd build && ./bench/bench_distributed)
-  python3 ci/bench_gate.py BENCH_distributed.json build/BENCH_distributed.json | tee -a "$gate_log"
-fi
-
-echo "=== bench ratchet summary ==="
-if [ -s "$gate_log" ]; then
-  echo "bench ratchets:" $(sed -n 's/^bench-gate: ratchet-summary: //p' "$gate_log" | tr '\n' ' ')
-else
-  echo "bench ratchets: none ran (DD_BENCH_GATE_SKIP=1)"
+  for baseline in BENCH_*.json; do
+    bench=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["bench"])' "$baseline")
+    (cd build && "./bench/$bench" --benchmark_filter='^$')
+    python3 ci/bench_gate.py "$baseline" "build/$baseline"
+  done
 fi
 
 echo "=== perfbench zero-failure smoke (both workloads, traced) ==="

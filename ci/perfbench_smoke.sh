@@ -3,7 +3,9 @@
 # per workload. A run passes only when perfbench exits 0 and its JSON
 # result (the last stdout line) reports "correct": true — epochs
 # byte-identical across the pipeline and the per-layer runners, counts
-# repeated, served answers equal to their epoch — and "failed": 0.
+# repeated, served answers equal to their epoch — and "failed": 0, and
+# when its serving p99 at the nominal open-loop rate (`serve.p99_ms`) is
+# within a 100 ms ceiling.
 # The first run builds perfbench into .bench_build/ (about a minute).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,9 +22,13 @@ try:
     result = json.loads(line)
 except ValueError:
     sys.exit(f"FAIL: perfbench {workload} printed no JSON result")
+p99_ms = result["metrics"]["serve.p99_ms"]["value"]
 print(f"perfbench {workload}: correct={result['correct']} "
-      f"attempted={result['attempted']} failed={result['failed']}")
+      f"attempted={result['attempted']} failed={result['failed']} "
+      f"serve.p99_ms={p99_ms:.3f}")
 if result["correct"] is not True or result["failed"] != 0:
     sys.exit(f"FAIL: perfbench {workload} is not correct or failed operations")
+if not 0 <= p99_ms <= 100:
+    sys.exit(f"FAIL: perfbench {workload} serve.p99_ms {p99_ms:.3f} is past 100 ms")
 PY
 done

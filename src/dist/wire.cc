@@ -1,6 +1,7 @@
 #include "dist/wire.h"
 
 #include <arpa/inet.h>
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
@@ -22,6 +23,7 @@ namespace dd {
 namespace {
 
 constexpr size_t kFrameHeaderBytes = 16;  // magic + type + payload_len
+constexpr size_t kRecvStepBytes = size_t{1} << 20;
 
 Status SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
@@ -274,9 +276,15 @@ Result<Frame> WireConn::RecvFrame(const Deadline& deadline) {
   }
   Frame frame;
   frame.type = type;
-  frame.payload.resize(static_cast<size_t>(payload_len));
-  if (payload_len > 0) {
-    st = ReadAll(frame.payload.data(), frame.payload.size(), &got, deadline);
+  // The payload grows as its bytes arrive, at most one step ahead of
+  // them, so a header alone cannot make the receiver allocate the length
+  // it declares.
+  const size_t len = static_cast<size_t>(payload_len);
+  while (frame.payload.size() < len) {
+    const size_t have = frame.payload.size();
+    const size_t step = std::min(kRecvStepBytes, len - have);
+    frame.payload.resize(have + step);
+    st = ReadAll(frame.payload.data() + have, step, &got, deadline);
     if (!st.ok()) {
       if (st.code() == StatusCode::kUnavailable) {
         return Status::Internal("wire stream desynchronized mid-frame: " +

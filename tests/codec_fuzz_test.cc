@@ -401,13 +401,18 @@ TEST_P(CodecFuzzTest, MutantsDecodeToOkOrStatus) {
         break;
       case Shape::kFrame: {
         // The payload is mutated and re-framed with its true length, or
-        // kept and framed under a wrong one. The length field is never
-        // bit-flipped: see RecvFrame's note in CHANGES.md.
+        // kept and framed under a wrong one: 0, one past the payload, 2^32,
+        // or its true length with one to three bits flipped.
         const uint64_t lengths[] = {0, base.size() + 1, uint64_t{1} << 32};
-        const uint64_t choice = rng.Next() % 4;
+        const uint64_t choice = rng.Next() % 5;
         const std::string payload = choice == 3 ? Mutate(base, &rng) : base;
-        mutant = Frame(static_cast<uint32_t>(rng.Next() % 9), payload,
-                       choice == 3 ? payload.size() : lengths[choice]);
+        uint64_t length = choice < 3 ? lengths[choice] : payload.size();
+        if (choice == 4) {
+          for (uint64_t i = 0, n = 1 + rng.Next() % 3; i < n; ++i) {
+            length ^= uint64_t{1} << (rng.Next() % 64);
+          }
+        }
+        mutant = Frame(static_cast<uint32_t>(rng.Next() % 9), payload, length);
         break;
       }
     }

@@ -20,6 +20,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -214,6 +215,34 @@ TEST_F(DistFaultTest, BadMagicIsCorruption) {
   auto received = conn->RecvFrame(Deadline::AfterMillis(5000));
   EXPECT_EQ(received.status().code(), StatusCode::kCorruption);
   ::close(fd);
+}
+
+// A valid header declaring the largest payload the cap allows, then 1 KiB
+// and a hang-up: the receiver fails without allocating the declared length.
+TEST_F(DistFaultTest, TruncatedMaxLengthFrameAllocatesOnlyWhatArrives) {
+  auto listener = WireListener::Listen("tcp:127.0.0.1:0");
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+
+  const int fd = RawDial(listener->endpoint());
+  auto conn = listener->Accept(Deadline::AfterMillis(5000));
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+
+  ByteWriter frame;
+  frame.U32(kWireMagic);
+  frame.U32(7);  // type
+  frame.U64(kWireMaxPayload);
+  frame.Raw(std::string(1024, 'x'));
+  RawSend(fd, frame.str());
+  ::close(fd);
+
+  rusage before{}, after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+  auto received = conn->RecvFrame(Deadline::AfterMillis(5000));
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_EQ(received.status().code(), StatusCode::kInternal)
+      << received.status().ToString();
+  // ru_maxrss is in KiB.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);
 }
 
 // ---- A shard refuses an assignment whose graph is not GRBN -------------

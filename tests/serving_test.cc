@@ -536,7 +536,9 @@ TEST_F(ServingTest, StopFailsPendingRequestsWithUnavailable) {
 // Readers hammer the server while a swapper publishes fresh epochs
 // through an EpochDirectory. Every successful response must be exactly
 // ExpectedMarginal(response.epoch, var) — bitwise — or a reader saw a
-// torn/mixed epoch. Per-reader epoch ids must never go backwards.
+// torn/mixed epoch. Per-reader epoch ids must never go backwards. Every
+// request issued during the swaps is answered, NotFound or explicitly
+// shed (Unavailable): none is dropped or fails otherwise.
 TEST_F(ServingTest, SwapsUnderConcurrentLoadServeConsistentEpochs) {
   constexpr size_t kVars = 512;
   constexpr uint64_t kLastEpoch = 5;
@@ -553,7 +555,7 @@ TEST_F(ServingTest, SwapsUnderConcurrentLoadServeConsistentEpochs) {
   ASSERT_TRUE(server.LoadCurrent(dir).ok());
 
   std::atomic<bool> stop{false};
-  std::atomic<uint64_t> verified{0};
+  std::atomic<uint64_t> issued{0}, verified{0}, not_found{0}, shed{0}, other_errors{0};
   std::atomic<int> torn{0}, regressed{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < 2; ++t) {
@@ -566,8 +568,18 @@ TEST_F(ServingTest, SwapsUnderConcurrentLoadServeConsistentEpochs) {
         QueryRequest request;
         request.relation = RelationName(var % kNumRelations);
         request.row = static_cast<int64_t>(var / kNumRelations);
+        ++issued;
         auto response = server.Query(request);
-        if (!response.ok()) continue;  // shed/stopping are fine
+        if (!response.ok()) {
+          if (response.status().code() == StatusCode::kNotFound) {
+            ++not_found;
+          } else if (response.status().code() == StatusCode::kUnavailable) {
+            ++shed;
+          } else {
+            ++other_errors;
+          }
+          continue;
+        }
         if (response->probability != ExpectedMarginal(response->epoch, var)) {
           ++torn;
         }
@@ -590,8 +602,18 @@ TEST_F(ServingTest, SwapsUnderConcurrentLoadServeConsistentEpochs) {
   EXPECT_EQ(torn.load(), 0) << "a reader observed a torn epoch";
   EXPECT_EQ(regressed.load(), 0) << "a reader saw epochs go backwards";
   EXPECT_GT(verified.load(), 0u);
+  // The server's own counts account for every request the readers issued:
+  // each was admitted or shed at admission, and each admitted one came
+  // back answered, NotFound or shed after queueing.
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(other_errors.load(), 0u) << "a request failed other than NotFound or shed";
+  EXPECT_EQ(shed.load(), stats.shed_queue_full + stats.shed_queue_budget);
+  EXPECT_EQ(issued.load(), stats.admitted + stats.shed_queue_full)
+      << "a request issued during the swaps never reached admission";
+  EXPECT_EQ(stats.admitted, verified.load() + not_found.load() + stats.shed_queue_budget)
+      << "an admitted request was dropped";
   EXPECT_EQ(server.current_epoch_id(), kLastEpoch);
-  EXPECT_EQ(server.stats().swaps, kLastEpoch);
+  EXPECT_EQ(stats.swaps, kLastEpoch);
 }
 
 // Saturate a tiny admission queue with the load generator: requests are
