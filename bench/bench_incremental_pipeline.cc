@@ -3,8 +3,9 @@
 // techniques to incrementally execute this iterative process."
 //
 // This is the END-TO-END incremental claim: after the first full run,
-// each new batch of documents flows through DRed grounding plus warm-
-// started inference instead of a from-scratch rerun. We measure a
+// each new batch of documents flows through DRed grounding plus
+// incremental inference (Metropolis–Hastings over the worlds the first
+// run stored, DESIGN.md §17) instead of a from-scratch rerun. We measure a
 // sequence of update batches both ways and check that the incremental
 // path (a) is significantly faster and (b) produces the same extractions.
 
@@ -14,6 +15,7 @@
 
 #include "core/error_analysis.h"
 #include "testdata/spouse_app.h"
+#include "util/metrics.h"
 #include "util/timer.h"
 
 namespace {
@@ -54,19 +56,23 @@ int main() {
   dd::Stopwatch watch;
   if (!inc->Run().ok()) return 1;
   std::printf("initial run over %zu docs: %.2fs\n\n", base_docs, watch.Seconds());
-  std::printf("%-8s %-16s %-16s %-9s %s\n", "batch", "incremental(s)",
-              "from-scratch(s)", "speedup", "extraction agreement");
+  std::printf("%-8s %-16s %-16s %-9s %-9s %s\n", "batch", "incremental(s)",
+              "from-scratch(s)", "speedup", "fallback", "extraction agreement");
+  dd::Counter* fallbacks =
+      dd::MetricsRegistry::Instance().GetCounter("dd.inference.update_fallbacks");
 
   size_t docs_so_far = base_docs;
   for (int b = 0; b < 4; ++b) {
     // Incremental: add the batch and Run() again.
     watch.Restart();
+    const uint64_t fallbacks_before = fallbacks->Value();
     for (size_t d = docs_so_far; d < docs_so_far + batch && d < corpus.documents.size();
          ++d) {
       (void)inc->AddDocument(corpus.documents[d].first, corpus.documents[d].second);
     }
     if (!inc->Run().ok()) return 1;
     double inc_seconds = watch.Seconds();
+    const uint64_t fell_back = fallbacks->Value() - fallbacks_before;
     docs_so_far += batch;
 
     // From-scratch baseline over the same prefix.
@@ -93,9 +99,11 @@ int main() {
     size_t uni = a.size() + bset.size() - inter;
     double jaccard = uni == 0 ? 1.0 : static_cast<double>(inter) / uni;
 
-    std::printf("%-8d %-16.3f %-16.3f %-9.1fx %.2f (|inc|=%zu |full|=%zu)\n", b + 1,
-                inc_seconds, scratch_seconds, scratch_seconds / inc_seconds, jaccard,
-                a.size(), bset.size());
+    char speedup[32];
+    std::snprintf(speedup, sizeof(speedup), "%.1fx", scratch_seconds / inc_seconds);
+    std::printf("%-8d %-16.3f %-16.3f %-9s %-9s %.2f (|inc|=%zu |full|=%zu)\n", b + 1,
+                inc_seconds, scratch_seconds, speedup, fell_back > 0 ? "yes" : "no",
+                jaccard, a.size(), bset.size());
   }
   std::printf("\npaper shape check: incremental execution wins by a wide factor\n"
               "(it skips re-extraction, re-learning, and full re-grounding) while\n"

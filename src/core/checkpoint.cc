@@ -39,7 +39,8 @@ Status RunDirectory::WriteManifest(
 }
 
 Result<std::map<std::string, std::string>> RunDirectory::ReadManifest() const {
-  DD_ASSIGN_OR_RETURN(GraphSnapshot snap, ReadGraphSnapshot(ManifestPath()));
+  DD_ASSIGN_OR_RETURN(GraphSnapshot snap,
+                      ReadGraphSnapshot(ManifestPath(), /*max_variables=*/0));
   auto kind = snap.meta.find("kind");
   if (kind == snap.meta.end() || kind->second != "pipeline-manifest") {
     return Status::InvalidArgument("not a pipeline manifest: " + ManifestPath());

@@ -1,5 +1,7 @@
 #include "core/pipeline.h"
 
+#include <numeric>
+
 #include "core/diagnostics.h"
 #include "ddlog/parser.h"
 #include "stream/ingester.h"
@@ -495,6 +497,14 @@ Status DeepDivePipeline::RunInference() {
     DD_RETURN_IF_ERROR(inference_->Materialize());
     marginals_ = inference_->marginals();
     inference_materialized_ = true;
+    return Status::OK();
+  }
+  if (options_.relearn_on_update) {
+    // Relearning rewrote the weights the materialized worlds were drawn
+    // under, so any factor may differ: every variable has changed.
+    std::vector<uint32_t> all(graph->num_variables());
+    std::iota(all.begin(), all.end(), 0u);
+    DD_ASSIGN_OR_RETURN(marginals_, inference_->Update(graph, all));
     return Status::OK();
   }
   DD_ASSIGN_OR_RETURN(marginals_,

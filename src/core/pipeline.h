@@ -118,8 +118,9 @@ struct PipelineOptions {
 ///   auto output = pipeline.Extractions("MarriedCandidate");
 ///
 /// Adding more documents (or calling ApplyBaseDeltas) after the first
-/// Run() triggers the incremental path: DRed grounding plus warm-started
-/// inference, exactly the engineering-loop workflow of §5.
+/// Run() triggers the incremental path: DRed grounding plus incremental
+/// inference over the materialized worlds, exactly the engineering-loop
+/// workflow of §5.
 class DeepDivePipeline {
  public:
   explicit DeepDivePipeline(PipelineOptions options = PipelineOptions());

@@ -129,7 +129,8 @@ Status WriteShardCheckpoint(const ShardState& state) {
 /// silently.
 Status RestoreShardCheckpoint(ShardState* state) {
   DD_ASSIGN_OR_RETURN(GraphSnapshot snap,
-                      ReadGraphSnapshot(state->assign.checkpoint_path));
+                      ReadGraphSnapshot(state->assign.checkpoint_path,
+                                        /*max_variables=*/0));
   auto kind = snap.meta.find("kind");
   if (kind == snap.meta.end() || kind->second != kShardSnapshotKind) {
     return Status::InvalidArgument("snapshot is not a dist-shard checkpoint: " +
@@ -351,7 +352,8 @@ Status RunShardWorkerImpl(const ShardWorkerOptions& options) {
                   options.shard, state.assign.shard));
   }
   DD_ASSIGN_OR_RETURN(GraphSnapshot graph_snap,
-                      DecodeGraphSnapshot(state.assign.graph_snapshot));
+                      DecodeGraphSnapshot(state.assign.graph_snapshot,
+                                          state.assign.local_to_global.size()));
   if (!graph_snap.has_graph) {
     return Status::InvalidArgument("shard assignment carries no graph");
   }

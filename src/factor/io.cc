@@ -461,6 +461,27 @@ Status DecodeRecords(const SnapshotView& view, const char* tag, size_t record_si
 
 }  // namespace
 
+void PackedWorlds::Append(const std::vector<uint8_t>& assignment) {
+  const size_t begin = words.size();
+  words.resize(begin + words_per_world(), 0);
+  const size_t n = assignment.size();
+  size_t v = 0;
+  // Eight 0/1 bytes at a time: the multiply moves byte k's low bit to bit
+  // 56 + k, and no two partial products share a bit position, so nothing
+  // carries into the top byte.
+  for (; v + 8 <= n; v += 8) {
+    uint64_t bytes;
+    std::memcpy(&bytes, assignment.data() + v, 8);
+    const uint64_t bits =
+        ((bytes & 0x0101010101010101ull) * 0x0102040810204080ull) >> 56;
+    words[begin + v / 64] |= bits << (v % 64);
+  }
+  for (; v < n; ++v) {
+    words[begin + v / 64] |= static_cast<uint64_t>(assignment[v] & 1) << (v % 64);
+  }
+  ++num_worlds;
+}
+
 std::string EncodeGraphSnapshot(const GraphSnapshot& snapshot) {
   SnapshotWriter writer;
   if (snapshot.has_graph) {
@@ -489,13 +510,21 @@ std::string EncodeGraphSnapshot(const GraphSnapshot& snapshot) {
                   w->U64(st.s1);
                 },
                 &writer);
+  if (snapshot.worlds.num_worlds > 0) {
+    ByteWriter w;
+    w.U64(snapshot.worlds.num_variables);
+    w.U64(snapshot.worlds.num_worlds);
+    for (uint64_t word : snapshot.worlds.words) w.U64(word);
+    writer.AddSection("WRLD", w.Take());
+  }
   if (!snapshot.meta.empty()) {
     writer.AddSection("META", EncodeMeta({snapshot.meta.begin(), snapshot.meta.end()}));
   }
   return writer.Encode();
 }
 
-Result<GraphSnapshot> DecodeGraphSnapshot(const std::string& bytes) {
+Result<GraphSnapshot> DecodeGraphSnapshot(const std::string& bytes,
+                                          uint64_t max_variables) {
   DD_ASSIGN_OR_RETURN(SnapshotView view, SnapshotView::Parse(bytes));
   GraphSnapshot snap;
 
@@ -507,6 +536,12 @@ Result<GraphSnapshot> DecodeGraphSnapshot(const std::string& bytes) {
     DD_ASSIGN_OR_RETURN(StringPoolView pool, StringPoolView::Parse(dict));
     DD_ASSIGN_OR_RETURN(std::string_view grbn, view.AlignedSection("GRBN"));
     DD_ASSIGN_OR_RETURN(BinaryGraphView graph, ParseBinaryGraph(grbn, pool));
+    if (graph.num_variables > max_variables) {
+      return Status::Corruption(StrFormat(
+          "GRBN declares %llu variables; this reader accepts at most %llu",
+          static_cast<unsigned long long>(graph.num_variables),
+          static_cast<unsigned long long>(max_variables)));
+    }
     DD_ASSIGN_OR_RETURN(snap.graph, GraphFromBinary(graph, pool));
     snap.has_graph = true;
   }
@@ -550,6 +585,39 @@ Result<GraphSnapshot> DecodeGraphSnapshot(const std::string& bytes) {
         return r->U64(&st->s1, "RNGS s1");
       },
       &snap.rng_states));
+  if (view.Has("WRLD")) {
+    DD_ASSIGN_OR_RETURN(std::string_view payload, view.Section("WRLD"));
+    ByteReader r(payload);
+    PackedWorlds& worlds = snap.worlds;
+    DD_RETURN_IF_ERROR(r.U64(&worlds.num_variables, "WRLD variable count"));
+    DD_RETURN_IF_ERROR(r.U64(&worlds.num_worlds, "WRLD world count"));
+    // Check the declared shape against the bytes present before sizing
+    // anything by it.
+    const uint64_t per_world = worlds.words_per_world();
+    const uint64_t words = r.remaining() / 8;
+    if (r.remaining() % 8 != 0 ||
+        (per_world == 0 ? words != 0
+                        : worlds.num_worlds > words / per_world ||
+                              worlds.num_worlds * per_world != words)) {
+      return Status::Corruption(StrFormat(
+          "WRLD declares %llu worlds of %llu variables but carries %zu bytes at "
+          "offset %zu",
+          static_cast<unsigned long long>(worlds.num_worlds),
+          static_cast<unsigned long long>(worlds.num_variables), r.remaining(),
+          r.offset()));
+    }
+    worlds.words.resize(static_cast<size_t>(words));
+    const unsigned tail_bits = static_cast<unsigned>(worlds.num_variables % 64);
+    for (size_t i = 0; i < worlds.words.size(); ++i) {
+      DD_RETURN_IF_ERROR(r.U64(&worlds.words[i], "WRLD word"));
+      if (tail_bits != 0 && (i + 1) % per_world == 0 &&
+          (worlds.words[i] >> tail_bits) != 0) {
+        return Status::Corruption(StrFormat(
+            "WRLD world %zu sets bits past its %llu variables", i / per_world,
+            static_cast<unsigned long long>(worlds.num_variables)));
+      }
+    }
+  }
   if (view.Has("META")) {
     DD_ASSIGN_OR_RETURN(std::string_view payload, view.Section("META"));
     DD_ASSIGN_OR_RETURN(snap.meta, ParseMeta(payload));
@@ -561,9 +629,10 @@ Status WriteGraphSnapshot(const GraphSnapshot& snapshot, const std::string& path
   return WriteBytesAtomic(EncodeGraphSnapshot(snapshot), path);
 }
 
-Result<GraphSnapshot> ReadGraphSnapshot(const std::string& path) {
+Result<GraphSnapshot> ReadGraphSnapshot(const std::string& path,
+                                        uint64_t max_variables) {
   DD_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
-  return DecodeGraphSnapshot(bytes);
+  return DecodeGraphSnapshot(bytes, max_variables);
 }
 
 std::string FormatExactDouble(double v) { return StrFormat("%a", v); }

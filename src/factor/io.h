@@ -125,7 +125,28 @@ Result<uint64_t> MetaU64(const std::map<std::string, std::string>& meta,
 ///   CNTS  per-variable marginal tallies (u64)
 ///   MRGN  marginal probabilities (doubles)
 ///   RNGS  RNG states (s0, s1 pairs)
+///   WRLD  bit-packed stored worlds: u64 variable count, u64 world
+///         count, then each world's words (PackedWorlds)
 ///   META  key=value lines in key order (epoch counters, seeds, ...)
+
+/// Assignments of one variable set, one bit per variable: world i's
+/// variable v is bit v % 64 of words[i * words_per_world() + v / 64].
+/// Bits past num_variables in a world's last word are zero.
+struct PackedWorlds {
+  uint64_t num_variables = 0;
+  uint64_t num_worlds = 0;
+  std::vector<uint64_t> words;
+
+  size_t words_per_world() const {
+    return static_cast<size_t>(num_variables / 64 + (num_variables % 64 != 0 ? 1 : 0));
+  }
+  /// Append `assignment` (one 0/1 byte per variable) as the next world.
+  void Append(const std::vector<uint8_t>& assignment);
+  bool Get(size_t world, uint32_t v) const {
+    return (words[world * words_per_world() + v / 64] >> (v % 64)) & 1;
+  }
+};
+
 struct GraphSnapshot {
   bool has_graph = false;
   FactorGraph graph;
@@ -134,16 +155,25 @@ struct GraphSnapshot {
   std::vector<uint64_t> counts;
   std::vector<double> marginals;
   std::vector<RngState> rng_states;
+  PackedWorlds worlds;
   std::map<std::string, std::string> meta;
 };
 
 std::string EncodeGraphSnapshot(const GraphSnapshot& snapshot);
-Result<GraphSnapshot> DecodeGraphSnapshot(const std::string& bytes);
+/// Decode and validate. A GRBN section declaring more than
+/// `max_variables` variables is Corruption, reported before the graph is
+/// allocated (its format carries no per-variable bytes, so only the
+/// caller knows how large a graph it can expect). Readers whose
+/// snapshots never carry a graph pass 0.
+Result<GraphSnapshot> DecodeGraphSnapshot(const std::string& bytes,
+                                          uint64_t max_variables);
 
 /// Atomic (temp + fsync + rename) snapshot write.
 Status WriteGraphSnapshot(const GraphSnapshot& snapshot, const std::string& path);
-/// Load + validate; Corruption on any truncated/bit-flipped file.
-Result<GraphSnapshot> ReadGraphSnapshot(const std::string& path);
+/// Load + validate as DecodeGraphSnapshot; Corruption on any
+/// truncated/bit-flipped file.
+Result<GraphSnapshot> ReadGraphSnapshot(const std::string& path,
+                                        uint64_t max_variables);
 
 /// Exact (bit-preserving) double <-> string for snapshot metadata, via
 /// hex float formatting.

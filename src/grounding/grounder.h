@@ -106,7 +106,7 @@ struct GroundingStats {
 /// Variable ids are stable across ApplyDeltas() calls: surviving tuples
 /// keep their id, deleted tuples leave an inert variable behind, new
 /// tuples extend the id space. That stability is what lets incremental
-/// inference warm-start from materialized state.
+/// inference reuse the worlds it materialized.
 class Grounder {
  public:
   /// `catalog` must already contain the declared base relations

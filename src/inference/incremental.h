@@ -7,15 +7,18 @@
 #include <vector>
 
 #include "factor/graph.h"
+#include "factor/io.h"
 #include "util/result.h"
 
 namespace dd {
 
-struct GraphSnapshot;
+class GibbsSampler;
+class TraceSpan;
 
 /// The two approximate-inference materialization strategies of §4.2.
 enum class MaterializationStrategy {
-  kSampling,    ///< store chain state + marginal tallies (MCDB-style)
+  kSampling,    ///< store sampled worlds + marginal tallies; update by
+                ///< Metropolis–Hastings over the worlds (MCDB-style)
   kVariational, ///< store mean-field marginals (graphical-model relaxation)
 };
 
@@ -24,8 +27,8 @@ const char* StrategyName(MaterializationStrategy strategy);
 struct IncrementalOptions {
   // Sampling strategy knobs.
   int full_burn_in = 300;     ///< burn-in for the initial materialization
-  int update_burn_in = 30;    ///< warm-start burn-in after a delta
-  int num_samples = 1000;
+  int update_burn_in = 30;    ///< burn-in of the warm-start fallback
+  int num_samples = 1000;     ///< counted sweeps; also the stored world count
   // Variational strategy knobs.
   int mf_max_iterations = 200;
   double mf_tolerance = 1e-4;
@@ -36,10 +39,11 @@ struct IncrementalOptions {
   /// also receive calibrated probabilities (Fig. 5's train histogram).
   bool clamp_evidence = true;
   /// Durability: when non-empty, Materialize() writes its state
-  /// (sampling: chain, tallies, RNG, sweep counter; variational: final
-  /// marginals) to this file every `checkpoint_interval` sweeps plus at
-  /// completion, and resumes from an existing checkpoint — a run killed
-  /// mid-sampling continues to bit-identical marginals.
+  /// (sampling: chain, tallies, stored worlds, RNG, sweep counter;
+  /// variational: final marginals) to this file every
+  /// `checkpoint_interval` sweeps plus at completion, and resumes from an
+  /// existing checkpoint — a run killed mid-sampling continues to
+  /// bit-identical marginals and worlds.
   std::string checkpoint_path;
   int checkpoint_interval = 100;
 };
@@ -49,9 +53,18 @@ struct IncrementalOptions {
 /// moves to a *new version* of the graph (produced by incremental
 /// grounding) given the set of variables whose factor neighborhood
 /// changed, reusing the materialized state so the work is far below a
-/// from-scratch run. `work_units` counts variable-update operations —
-/// the hardware-independent cost measure the strategy optimizer reasons
-/// about.
+/// from-scratch run.
+///
+/// Sampling strategy (DESIGN.md §17): Materialize() keeps its
+/// post-burn-in worlds, bit-packed, and a copy of the graph it sampled
+/// (the reference). Update() runs an independent Metropolis–Hastings
+/// chain over those worlds: each is extended by drawing the new
+/// variables from their conditionals and accepted on the factors that
+/// differ from the reference, which must all touch a variable reported
+/// as changed since materialization. An evidence change under
+/// clamp_evidence, a delta whose work would exceed a warm start's, or a
+/// low acceptance rate falls back to warm-start Gibbs, which also
+/// re-materializes the worlds and the reference.
 class IncrementalInference {
  public:
   IncrementalInference(const FactorGraph* graph, MaterializationStrategy strategy,
@@ -72,14 +85,24 @@ class IncrementalInference {
   /// Switch to `new_graph` (a superset/modification of the old one whose
   /// unchanged variable ids keep their meaning); `changed_vars` lists
   /// ids whose adjacent factors or evidence changed, including brand-new
-  /// ids. Returns fresh marginals for every variable of the new graph.
+  /// ids. Every factor of `new_graph` that is not a factor of the graph
+  /// last materialized must touch one of them. Returns fresh marginals
+  /// for every variable of the new graph.
   Result<std::vector<double>> Update(const FactorGraph* new_graph,
                                      const std::vector<uint32_t>& changed_vars);
 
   /// Marginals from the last Materialize()/Update().
   const std::vector<double>& marginals() const { return marginals_; }
 
-  /// Work spent by the last operation (variable updates performed).
+  /// Work spent by the last operation, in hardware-independent units:
+  ///  - a Gibbs sweep (Materialize, the warm-start fallback) counts one
+  ///    unit per variable it resamples;
+  ///  - a Metropolis–Hastings update counts one unit per new-variable
+  ///    draw and one per delta-factor evaluation, summed over all
+  ///    stored worlds (an update that then falls back adds both);
+  ///  - the variational strategy counts one per mean-field update.
+  /// Registry counters dd.inference.materialize_work_units and
+  /// dd.inference.update_work_units sum them per operation kind.
   uint64_t last_work_units() const { return last_work_units_; }
 
   MaterializationStrategy strategy() const { return strategy_; }
@@ -89,15 +112,27 @@ class IncrementalInference {
   Status MaterializeVariational();
   /// Attempt to restore from options_.checkpoint_path; outputs the number
   /// of sweeps already performed (0 when starting fresh).
-  Status TryRestoreSampling(class GibbsSampler* sampler, int* sweeps_done);
-  Status WriteSamplingCheckpoint(const class GibbsSampler& sampler,
-                                 int sweeps_done) const;
+  Status TryRestoreSampling(GibbsSampler* sampler, int* sweeps_done);
+  Status WriteSamplingCheckpoint(const GibbsSampler& sampler, int sweeps_done) const;
+  /// The Metropolis–Hastings update over worlds_. Leaves *updated false,
+  /// and the marginals untouched, when a fallback rule fires.
+  Status UpdateFromWorlds(const FactorGraph& new_graph, TraceSpan* span,
+                          bool* updated);
+  /// Warm-start Gibbs on `new_graph` from chain_state_; re-materializes
+  /// the worlds, their tallies and the reference.
+  Status WarmStartUpdate(const FactorGraph* new_graph, TraceSpan* span);
 
   const FactorGraph* graph_;
   MaterializationStrategy strategy_;
   IncrementalOptions options_;
   std::vector<double> marginals_;
-  std::vector<uint8_t> chain_state_;  // sampling strategy
+  // Sampling strategy: the last Gibbs chain's state, and what
+  // Metropolis–Hastings updates propose from.
+  std::vector<uint8_t> chain_state_;
+  FactorGraph reference_;          ///< copy of the graph worlds_ were drawn on
+  PackedWorlds worlds_;            ///< post-burn-in assignments, in sweep order
+  std::vector<uint64_t> tallies_;  ///< per-variable true counts over worlds_
+  std::vector<uint32_t> changed_;  ///< sorted union of changed ids since then
   /// Checkpoint prefetched by Prewarm(), consumed by the next restore.
   std::unique_ptr<GraphSnapshot> prewarmed_;
   uint64_t last_work_units_ = 0;

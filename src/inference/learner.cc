@@ -46,7 +46,7 @@ Status RestoreLearnerCheckpoint(const LearnOptions& options, FactorGraph* graph,
                                 GibbsSampler* positive, GibbsSampler* negative,
                                 int* start_epoch, double* lr) {
   DD_ASSIGN_OR_RETURN(GraphSnapshot snap,
-                      ReadGraphSnapshot(CheckpointPath(options)));
+                      ReadGraphSnapshot(CheckpointPath(options), /*max_variables=*/0));
   auto kind = snap.meta.find("kind");
   if (kind == snap.meta.end() || kind->second != kSnapshotKind) {
     return Status::InvalidArgument("snapshot is not a learner checkpoint");

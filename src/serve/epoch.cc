@@ -249,7 +249,7 @@ Result<uint64_t> EpochDirectory::CurrentEpochId() const {
     return Status::NotFound("no CURRENT manifest in " + path_);
   }
   DD_ASSIGN_OR_RETURN(GraphSnapshot manifest,
-                      ReadGraphSnapshot(CurrentManifestPath()));
+                      ReadGraphSnapshot(CurrentManifestPath(), /*max_variables=*/0));
   auto kind = manifest.meta.find("kind");
   if (kind == manifest.meta.end() || kind->second != "epoch-manifest") {
     return Status::Corruption("CURRENT in " + path_ +

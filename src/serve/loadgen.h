@@ -12,8 +12,8 @@ namespace dd {
 /// Closed-loop load generator for KbcServer: `num_clients` threads each
 /// issue queries back-to-back (a new request as soon as the previous one
 /// answers) for a fixed duration, drawing (kind, relation, row) from a
-/// per-client deterministic Rng. Used by the chaos tests (to saturate
-/// admission) and the serving benchmark (QPS + latency percentiles).
+/// per-client deterministic Rng. serving_test uses it to saturate
+/// admission; perfbench's serve_load drives its own serving load.
 struct LoadgenOptions {
   size_t num_clients = 4;
   double duration_ms = 200.0;

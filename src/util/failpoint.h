@@ -24,6 +24,7 @@ inline constexpr const char* kFactorIoRename = "factor_io.rename";
 inline constexpr const char* kFactorIoRead = "factor_io.read";
 inline constexpr const char* kLearnerEpoch = "learner.epoch";
 inline constexpr const char* kInferenceSweep = "inference.sweep";
+inline constexpr const char* kInferenceUpdate = "inference.update";
 inline constexpr const char* kPipelineExtractor = "pipeline.extractor";
 inline constexpr const char* kPipelinePhase = "pipeline.phase";
 inline constexpr const char* kSnapshotMmap = "snapshot.mmap";

@@ -1,10 +1,11 @@
 // Pinned encoder bytes for every binary format outside the grounding
 // table (grounding_pinned_test pins the graph, epoch and catalog
 // snapshots of the KBC workloads): a graph snapshot carrying every
-// section, the serving-epoch CURRENT manifest, the pipeline run
-// manifest, the seven dist protocol messages and one wire frame read
-// off a loopback socket. Each entry is the FNV-1a digest and length of
-// the encoded bytes. A codec change that moves one of them changes an
+// section, a sampling checkpoint carrying stored worlds, the
+// serving-epoch CURRENT manifest, the pipeline run manifest, the seven
+// dist protocol messages and one wire frame read off a loopback
+// socket. Each entry is the FNV-1a digest and length of the encoded
+// bytes. A codec change that moves one of them changes an
 // on-disk or on-wire format. (Not CRC32C: DDSN sections and wire frames
 // end in a CRC32C of what precedes them, and a CRC32C over a message
 // followed by its own CRC32C is a constant.)
@@ -22,6 +23,7 @@
 #include "dist/protocol.h"
 #include "dist/wire.h"
 #include "factor/io.h"
+#include "inference/incremental.h"
 #include "serve/epoch.h"
 #include "util/deadline.h"
 
@@ -74,6 +76,21 @@ TEST(BytesPinnedTest, GraphSnapshotWithEverySection) {
   snap.meta = {{"kind", "pin"}, {"lr", FormatExactDouble(0.1)}, {"epoch", "12"}};
   const std::string bytes = EncodeGraphSnapshot(snap);
   EXPECT_EQ(Pin(bytes), "fnv=0xca242beb len=732");
+}
+
+TEST(BytesPinnedTest, SamplingCheckpointWithWorlds) {
+  // Materialize()'s final checkpoint: chain, tallies, RNG, the stored
+  // worlds (WRLD) and META.
+  const FactorGraph graph = SmallGraph();
+  IncrementalOptions options;
+  options.full_burn_in = 3;
+  options.num_samples = 5;
+  options.seed = 11;
+  options.checkpoint_path = ::testing::TempDir() + "bytes_pinned_sampling.snap";
+  std::remove(options.checkpoint_path.c_str());
+  IncrementalInference engine(&graph, MaterializationStrategy::kSampling, options);
+  ASSERT_TRUE(engine.Materialize().ok());
+  EXPECT_EQ(Pin(ReadAll(options.checkpoint_path)), "fnv=0x15316758 len=312");
 }
 
 TEST(BytesPinnedTest, EpochManifest) {

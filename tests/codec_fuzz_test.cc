@@ -157,6 +157,8 @@ std::string GraphSnapshotBytes() {
   snap.counts = {0, 7, 3, 0, 1, 9};
   snap.marginals = {0.5, 1.0, 0.25, 0.0, 0.125, 0.75};
   snap.rng_states = {{1, 2}, {3, 4}};
+  snap.worlds.num_variables = 6;
+  for (const auto& chain : snap.chains) snap.worlds.Append(chain);
   snap.meta = {{"kind", "fuzz"}, {"epoch", "12"}};
   return EncodeGraphSnapshot(snap);
 }
@@ -235,8 +237,11 @@ Status DecodeCatalog(const std::string& bytes) {
   return LoadCatalogSnapshot(bytes, &catalog);
 }
 
+/// The largest graph DecodeGraph accepts; the fuzzed one has 6 variables.
+constexpr uint64_t kMaxFuzzVariables = 1 << 10;
+
 Status DecodeGraph(const std::string& bytes) {
-  DD_ASSIGN_OR_RETURN(GraphSnapshot snap, DecodeGraphSnapshot(bytes));
+  DD_ASSIGN_OR_RETURN(GraphSnapshot snap, DecodeGraphSnapshot(bytes, kMaxFuzzVariables));
   (void)EncodeGraphSnapshot(snap);  // whatever decodes must encode again
   return Status::OK();
 }
@@ -319,11 +324,10 @@ std::string RoundResultBytes() {
 
 const std::vector<Format>& Formats() {
   static const std::vector<Format> formats = {
-      // DecodeGraphSnapshot materializes GRBN's variable count, which no
-      // other section bounds: a mutated count asks for gigabytes. GRBN is
-      // fuzzed through the mapped views and the epoch loader instead,
-      // which validate it without materializing a FactorGraph.
-      {"graph_snapshot", Shape::kContainer, 400, "GRBN", GraphSnapshotBytes, DecodeGraph},
+      // Every section is mutated, GRBN and WRLD included: a mutated GRBN
+      // variable count above kMaxFuzzVariables is refused before the
+      // graph is allocated.
+      {"graph_snapshot", Shape::kContainer, 400, "", GraphSnapshotBytes, DecodeGraph},
       {"catalog_snapshot", Shape::kContainer, 400, "", CatalogBytes, DecodeCatalog},
       {"mapped_catalog", Shape::kContainer, 150, "", CatalogBytes, DecodeMappedCatalog},
       {"mapped_graph", Shape::kContainer, 150, "", GraphSnapshotBytes, DecodeMappedGraph},

@@ -15,17 +15,22 @@
 // in the CRC32C of its tag, length and payload, and a CRC32C taken over a
 // message followed by its own CRC32C is a constant, so a CRC32C of a
 // whole container sees only its section lengths.
+//
+// The same batches also check the precondition incremental inference
+// relies on: ApplyDeltas() changes no factor away from the variables it
+// reports as changed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "core/udf.h"
 #include "factor/io.h"
 #include "grounding/grounder.h"
 #include "kbc_workloads.h"
@@ -66,12 +71,6 @@ const Pinned kPinned[] = {
     {"synthetic8", 0xf4dd1454, 0x8cf9affe, 0x2bfccd80, 0x8f84403f, 0x47e4d89e, 0x115f2358,
      0x6be74791, 0x381268d5, 0xd8fc9eb7, 0x549d074c, 0x90b3558e, 0xf987df10},
 };
-
-Result<KbcWorkload> MakeWorkload(const std::string& name) {
-  if (name == "logs") return testing_workloads::LogsWorkload(/*num_windows=*/120);
-  if (name == "spouse") return testing_workloads::SpouseWorkload(/*num_documents=*/40);
-  return testing_workloads::SyntheticKbcWorkload(std::stoull(name.substr(9)));
-}
 
 uint32_t Fnv1a(const std::string& bytes) {
   uint32_t h = 0x811c9dc5u;
@@ -128,35 +127,23 @@ class GroundingPinnedTest
 
 TEST_P(GroundingPinnedTest, BytesMatchRecorded) {
   const auto [pinned, threads] = GetParam();
-  auto workload = MakeWorkload(pinned.workload);
-  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
-  Catalog catalog;
-  ASSERT_TRUE(testing_workloads::Populate(*workload, &catalog).ok());
-  UdfRegistry udfs;
-  RegisterBuiltinUdfs(&udfs);
-  GroundingOptions options;
-  options.num_threads = threads;
-  options.morsel_size = 16;
-  options.holdout_fraction = 0.2;
-  Grounder grounder(&catalog, &workload->program, &udfs, options);
-  Status st = grounder.Initialize();
-  ASSERT_TRUE(st.ok()) << st.ToString();
+  auto grounding = testing_workloads::GroundPinned(pinned.workload, threads);
+  ASSERT_TRUE(grounding.ok()) << grounding.status().ToString();
+  const KbcWorkload& workload = (*grounding)->workload;
+  const Catalog& catalog = (*grounding)->catalog;
+  Grounder& grounder = *(*grounding)->grounder;
   ASSERT_GT(grounder.graph().num_factors(), 0u);
   const uint32_t init_graph = GraphDigest(grounder.graph());
   const uint32_t init_tables = TablesCrc(catalog);
   const uint32_t init_epoch = EpochDigest(grounder);
   const uint32_t init_catalog = CatalogDigest(catalog);
-  st = grounder.ApplyDeltas(workload->delta);
+  Status st = grounder.ApplyDeltas(workload.delta);
   ASSERT_TRUE(st.ok()) << st.ToString();
   const uint32_t delta_graph = GraphDigest(grounder.graph());
   const uint32_t delta_tables = TablesCrc(catalog);
   const uint32_t delta_epoch = EpochDigest(grounder);
   const uint32_t delta_catalog = CatalogDigest(catalog);
-  std::map<std::string, DeltaSet> undo = workload->delta;
-  for (auto& [relation, delta] : undo) {
-    for (auto& [tuple, count] : delta) count = -count;
-  }
-  st = grounder.ApplyDeltas(undo);
+  st = grounder.ApplyDeltas(testing_workloads::Undo(workload.delta));
   ASSERT_TRUE(st.ok()) << st.ToString();
   const uint32_t undo_graph = GraphDigest(grounder.graph());
   const uint32_t undo_tables = TablesCrc(catalog);
@@ -182,6 +169,66 @@ TEST_P(GroundingPinnedTest, BytesMatchRecorded) {
   EXPECT_EQ(delta_catalog, pinned.delta_catalog) << actual;
   EXPECT_EQ(undo_epoch, pinned.undo_epoch) << actual;
   EXPECT_EQ(undo_catalog, pinned.undo_catalog) << actual;
+}
+
+/// (function, weight value, literals) of every factor of `graph` that
+/// touches none of `changed`, as a sorted multiset.
+std::vector<std::string> UntouchedFactors(const FactorGraph& graph,
+                                          const std::vector<uint32_t>& changed) {
+  std::vector<uint8_t> is_changed(graph.num_variables(), 0);
+  for (uint32_t v : changed) {
+    if (v < is_changed.size()) is_changed[v] = 1;
+  }
+  std::vector<std::string> out;
+  for (uint32_t f = 0; f < graph.num_factors(); ++f) {
+    size_t arity = 0;
+    const Literal* lits = graph.factor_literals(f, &arity);
+    bool touched = false;
+    std::string key = std::string(FactorFuncName(graph.factor_func(f))) + " " +
+                      FormatExactDouble(graph.weight_value(graph.factor_weight(f)));
+    for (size_t i = 0; i < arity; ++i) {
+      touched = touched || is_changed[lits[i].var];
+      key += (lits[i].is_positive ? " +" : " -") + std::to_string(lits[i].var);
+    }
+    if (!touched) out.push_back(std::move(key));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The first entries of `a` that `b` lacks, for a readable failure.
+std::string Missing(const std::vector<std::string>& a,
+                    const std::vector<std::string>& b) {
+  std::vector<std::string> diff;
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(diff));
+  std::string out = std::to_string(diff.size()) + " factors:";
+  for (size_t i = 0; i < diff.size() && i < 5; ++i) out += " [" + diff[i] + "]";
+  return out;
+}
+
+// IncrementalInference::Update re-scores only the factors adjacent to
+// the variables Grounder::changed_vars() reports, so every other factor
+// must come out of ApplyDeltas() as it went in, up to its factor and
+// weight ids. A variable CollectChangedVars misses would bias the
+// updated marginals without any error.
+TEST_P(GroundingPinnedTest, FactorsAwayFromChangedVarsAreUnchanged) {
+  const auto [pinned, threads] = GetParam();
+  auto grounding = testing_workloads::GroundPinned(pinned.workload, threads);
+  ASSERT_TRUE(grounding.ok()) << grounding.status().ToString();
+  const KbcWorkload& workload = (*grounding)->workload;
+  Grounder& grounder = *(*grounding)->grounder;
+  for (const auto& batch : {workload.delta, testing_workloads::Undo(workload.delta)}) {
+    const FactorGraph before = grounder.graph();
+    const Status st = grounder.ApplyDeltas(batch);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    const std::vector<uint32_t>& changed = grounder.changed_vars();
+    const std::vector<std::string> old_factors = UntouchedFactors(before, changed);
+    const std::vector<std::string> new_factors =
+        UntouchedFactors(grounder.graph(), changed);
+    EXPECT_TRUE(old_factors == new_factors)
+        << "only before: " << Missing(old_factors, new_factors)
+        << "; only after: " << Missing(new_factors, old_factors);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -81,7 +81,8 @@ TEST_P(IoRoundTripTest, BinarySnapshotMatchesTextOracle) {
   snap.has_graph = true;
   snap.graph = MakeRandomGraph(options);
 
-  auto decoded = DecodeGraphSnapshot(EncodeGraphSnapshot(snap));
+  auto decoded =
+      DecodeGraphSnapshot(EncodeGraphSnapshot(snap), snap.graph.num_variables());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_TRUE(decoded->has_graph);
   // The decoded graph serializes to the exact text the oracle produces.

@@ -7,13 +7,16 @@
 #define DEEPDIVE_TESTS_KBC_WORKLOADS_H_
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
+#include "core/udf.h"
 #include "ddlog/parser.h"
+#include "grounding/grounder.h"
 #include "nlp/document.h"
 #include "query/source.h"
 #include "storage/catalog.h"
@@ -104,9 +107,12 @@ inline Result<KbcWorkload> LogsWorkload(int num_windows, uint64_t seed = 21) {
 }
 
 /// The spouse application (default options) over `num_documents`
-/// documents: the first three quarters are the base; the batch adds the
-/// rest and deletes every fourth base mention pair.
-inline Result<KbcWorkload> SpouseWorkload(int num_documents, uint64_t seed = 42) {
+/// documents. By default the first three quarters are the base, and the
+/// batch adds the rest and deletes every fourth base mention pair. With
+/// `batch_documents` > 0 the batch only adds the last `batch_documents`
+/// documents: the small step of a KBC system taking in a few new ones.
+inline Result<KbcWorkload> SpouseWorkload(int num_documents, int batch_documents = 0,
+                                          uint64_t seed = 42) {
   SpouseCorpusOptions options;
   options.num_documents = num_documents;
   options.seed = seed;
@@ -121,7 +127,10 @@ inline Result<KbcWorkload> SpouseWorkload(int num_documents, uint64_t seed = 42)
     w.rows.emplace_back("KbSiblings", StringPair(a, b));
   }
   Extractor extractor = MakeSpouseExtractor(app_options);
-  const size_t cut = corpus.documents.size() * 3 / 4;
+  const bool small_batch = batch_documents > 0;
+  const size_t cut = small_batch
+                         ? corpus.documents.size() - static_cast<size_t>(batch_documents)
+                         : corpus.documents.size() * 3 / 4;
   size_t base_pairs = 0;
   for (size_t d = 0; d < corpus.documents.size(); ++d) {
     const auto& [id, text] = corpus.documents[d];
@@ -130,7 +139,7 @@ inline Result<KbcWorkload> SpouseWorkload(int num_documents, uint64_t seed = 42)
     for (const auto& [relation, tuples] : emitter.emitted()) {
       for (const Tuple& t : tuples) {
         if (d < cut) {
-          if (relation == "MentionPair" && base_pairs++ % 4 == 3) {
+          if (!small_batch && relation == "MentionPair" && base_pairs++ % 4 == 3) {
             w.delta[relation][t] = -1;
           }
           w.rows.emplace_back(relation, t);
@@ -168,6 +177,52 @@ inline Result<KbcWorkload> SyntheticKbcWorkload(uint64_t seed, bool recursive = 
     }
   }
   return w;
+}
+
+/// The workloads the pinned suites run, by name: "logs" (120 windows),
+/// "spouse" (40 documents), "spouse_small" (100 documents, a 2-document
+/// batch) and "synthetic1" to "synthetic8".
+inline Result<KbcWorkload> PinnedWorkload(const std::string& name) {
+  if (name == "logs") return LogsWorkload(/*num_windows=*/120);
+  if (name == "spouse") return SpouseWorkload(/*num_documents=*/40);
+  if (name == "spouse_small") {
+    return SpouseWorkload(/*num_documents=*/100, /*batch_documents=*/2);
+  }
+  return SyntheticKbcWorkload(std::stoull(name.substr(9)));
+}
+
+/// A pinned workload grounded the way the pinned suites ground it:
+/// built-in UDFs, `threads` grounding threads, 16-tuple morsels and a
+/// 20% holdout, after Initialize(). Owns everything the grounder reads.
+struct PinnedGrounding {
+  KbcWorkload workload;
+  Catalog catalog;
+  UdfRegistry udfs;
+  std::unique_ptr<Grounder> grounder;
+};
+
+inline Result<std::unique_ptr<PinnedGrounding>> GroundPinned(const std::string& name,
+                                                             size_t threads) {
+  auto g = std::make_unique<PinnedGrounding>();
+  DD_ASSIGN_OR_RETURN(g->workload, PinnedWorkload(name));
+  DD_RETURN_IF_ERROR(Populate(g->workload, &g->catalog));
+  RegisterBuiltinUdfs(&g->udfs);
+  GroundingOptions options;
+  options.num_threads = threads;
+  options.morsel_size = 16;
+  options.holdout_fraction = 0.2;
+  g->grounder =
+      std::make_unique<Grounder>(&g->catalog, &g->workload.program, &g->udfs, options);
+  DD_RETURN_IF_ERROR(g->grounder->Initialize());
+  return g;
+}
+
+/// The batch that undoes `delta`.
+inline std::map<std::string, DeltaSet> Undo(std::map<std::string, DeltaSet> delta) {
+  for (auto& [relation, rows] : delta) {
+    for (auto& [tuple, count] : rows) count = -count;
+  }
+  return delta;
 }
 
 }  // namespace testing_workloads

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/calibration.h"
 #include "core/error_analysis.h"
 #include "core/pipeline.h"
+#include "grounding/grounder.h"
+#include "inference/incremental.h"
 #include "testdata/spouse_app.h"
+#include "util/failpoint.h"
+#include "util/metrics.h"
 
 namespace dd {
 namespace {
@@ -104,6 +110,122 @@ TEST(PipelineTest, IncrementalUpdateAddsDocuments) {
   auto marginals = pipeline->Marginals("MarriedMention");
   ASSERT_TRUE(marginals.ok());
   EXPECT_FALSE(marginals->empty());
+}
+
+double MeanAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
+  double sum = 0;
+  for (size_t i = 0; i < a.size(); ++i) sum += std::fabs(a[i] - b[i]);
+  return a.empty() ? 0.0 : sum / static_cast<double>(a.size());
+}
+
+uint64_t CounterValue(const char* name) {
+  return MetricsRegistry::Instance().GetCounter(name)->Value();
+}
+
+// Small batches are answered by Metropolis–Hastings over the worlds the
+// first run stored. After each of two batches the answer must stay within
+// sampling noise of a from-scratch Materialize() on the same graph — the
+// seed-to-seed envelope of two such runs, measured here — at no more than
+// a fifth of the first run's inference work.
+TEST(PipelineTest, WorldUpdatesStayInSeedEnvelope) {
+  SpouseCorpusOptions corpus_opts;
+  corpus_opts.num_documents = 204;
+  corpus_opts.seed = 15;
+  SpouseCorpus corpus = GenerateSpouseCorpus(corpus_opts);
+  const PipelineOptions options = FastOptions();
+  DeepDivePipeline pipeline(options);
+  SpouseAppOptions app;
+  ASSERT_TRUE(pipeline.LoadProgram(SpouseDdlog(app)).ok());
+  pipeline.RegisterExtractor(MakeSpouseExtractor(app));
+  LoadSpouseKb(&pipeline, corpus, app);
+  size_t next = 0;
+  for (; next < 200; ++next) {
+    ASSERT_TRUE(pipeline
+                    .AddDocument(corpus.documents[next].first,
+                                 corpus.documents[next].second)
+                    .ok());
+  }
+  const uint64_t materialize_before = CounterValue("dd.inference.materialize_work_units");
+  ASSERT_TRUE(pipeline.Run().ok());
+  const uint64_t full_work =
+      CounterValue("dd.inference.materialize_work_units") - materialize_before;
+  ASSERT_GT(full_work, 0u);
+
+  for (int batch = 0; batch < 2; ++batch) {
+    for (size_t end = next + 2; next < end; ++next) {
+      ASSERT_TRUE(pipeline
+                      .AddDocument(corpus.documents[next].first,
+                                   corpus.documents[next].second)
+                      .ok());
+    }
+    const uint64_t update_before = CounterValue("dd.inference.update_work_units");
+    const uint64_t fallbacks_before = CounterValue("dd.inference.update_fallbacks");
+    ASSERT_TRUE(pipeline.Run().ok());
+    const uint64_t update_work =
+        CounterValue("dd.inference.update_work_units") - update_before;
+    EXPECT_EQ(CounterValue("dd.inference.update_fallbacks") - fallbacks_before, 0u)
+        << "batch " << batch;
+    EXPECT_LE(update_work * 5, full_work)
+        << "batch " << batch << ": " << update_work << " vs " << full_work;
+
+    // Two from-scratch materializations of the same graph, as the
+    // pipeline samples (evidence unclamped), seeds apart.
+    const Grounder& grounder = *pipeline.grounder();
+    IncrementalOptions fresh_options = options.inference;
+    fresh_options.clamp_evidence = false;
+    IncrementalInference fresh(&grounder.graph(), MaterializationStrategy::kSampling,
+                               fresh_options);
+    ASSERT_TRUE(fresh.Materialize().ok());
+    fresh_options.seed = 999;
+    IncrementalInference reseeded(&grounder.graph(), MaterializationStrategy::kSampling,
+                                  fresh_options);
+    ASSERT_TRUE(reseeded.Materialize().ok());
+
+    std::vector<double> updated, fresh_marginals, other_seed;
+    for (const char* relation : {"MarriedMention", "MarriedPair"}) {
+      auto marginals = pipeline.Marginals(relation);
+      ASSERT_TRUE(marginals.ok()) << marginals.status().ToString();
+      for (const auto& [tuple, p] : *marginals) {
+        const int64_t v = grounder.VarIdFor(relation, tuple);
+        ASSERT_GE(v, 0);
+        updated.push_back(p);
+        fresh_marginals.push_back(fresh.marginals()[v]);
+        other_seed.push_back(reseeded.marginals()[v]);
+      }
+    }
+    const double envelope = MeanAbsDiff(other_seed, fresh_marginals);
+    ASSERT_GT(envelope, 0.0);
+    EXPECT_LE(MeanAbsDiff(updated, fresh_marginals), 2.0 * envelope)
+        << "batch " << batch << ": envelope " << envelope;
+  }
+}
+
+TEST(PipelineTest, InjectedUpdateErrorIsRunStatus) {
+  SpouseCorpusOptions corpus_opts;
+  corpus_opts.num_documents = 30;
+  corpus_opts.seed = 16;
+  SpouseCorpus corpus = GenerateSpouseCorpus(corpus_opts);
+  DeepDivePipeline pipeline(FastOptions());
+  SpouseAppOptions app;
+  ASSERT_TRUE(pipeline.LoadProgram(SpouseDdlog(app)).ok());
+  pipeline.RegisterExtractor(MakeSpouseExtractor(app));
+  LoadSpouseKb(&pipeline, corpus, app);
+  for (size_t d = 0; d < 25; ++d) {
+    ASSERT_TRUE(
+        pipeline.AddDocument(corpus.documents[d].first, corpus.documents[d].second).ok());
+  }
+  ASSERT_TRUE(pipeline.Run().ok());
+  for (size_t d = 25; d < corpus.documents.size(); ++d) {
+    ASSERT_TRUE(
+        pipeline.AddDocument(corpus.documents[d].first, corpus.documents[d].second).ok());
+  }
+  FailpointConfig config;
+  config.code = StatusCode::kIoError;
+  config.max_hits = 1;
+  Failpoints::Instance().Enable(failpoints::kInferenceUpdate, config);
+  const Status status = pipeline.Run();
+  Failpoints::Instance().Reset();
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
 }
 
 TEST(PipelineTest, WriteMarginalTables) {

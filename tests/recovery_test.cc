@@ -25,6 +25,9 @@
 namespace dd {
 namespace {
 
+/// Every graph these tests snapshot has far fewer variables.
+constexpr uint64_t kMaxTestVariables = 1 << 16;
+
 // ---- CRC32C -----------------------------------------------------------
 
 TEST(Crc32cTest, KnownVector) {
@@ -87,6 +90,9 @@ GraphSnapshot MakeTestSnapshot(uint64_t seed) {
   snap.marginals = {0.1, 0.9, 0.5, 0.25, 0.75, 0.0,
                     1.0, 0.33, 0.66, 0.2, 0.8, 0.4};
   snap.rng_states = {{123, 456}, {789, 1011}};
+  snap.worlds.num_variables = 12;
+  snap.worlds.Append(snap.chains[0]);
+  snap.worlds.Append(snap.chains[1]);
   snap.meta["epoch"] = "17";
   snap.meta["lr"] = FormatExactDouble(0.05 * 0.99);
   return snap;
@@ -106,12 +112,15 @@ void ExpectSnapshotsEqual(const GraphSnapshot& a, const GraphSnapshot& b) {
     EXPECT_EQ(a.rng_states[i].s0, b.rng_states[i].s0);
     EXPECT_EQ(a.rng_states[i].s1, b.rng_states[i].s1);
   }
+  EXPECT_EQ(a.worlds.num_variables, b.worlds.num_variables);
+  EXPECT_EQ(a.worlds.num_worlds, b.worlds.num_worlds);
+  EXPECT_EQ(a.worlds.words, b.worlds.words);
   EXPECT_EQ(a.meta, b.meta);
 }
 
 TEST(GraphSnapshotTest, RoundTripBitExact) {
   GraphSnapshot snap = MakeTestSnapshot(3);
-  auto decoded = DecodeGraphSnapshot(EncodeGraphSnapshot(snap));
+  auto decoded = DecodeGraphSnapshot(EncodeGraphSnapshot(snap), kMaxTestVariables);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ExpectSnapshotsEqual(snap, *decoded);
 }
@@ -127,7 +136,7 @@ class CorruptionSweepTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(CorruptionSweepTest, TruncationAtEveryByteIsCorruption) {
   std::string bytes = EncodeGraphSnapshot(MakeTestSnapshot(GetParam()));
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    auto decoded = DecodeGraphSnapshot(bytes.substr(0, cut));
+    auto decoded = DecodeGraphSnapshot(bytes.substr(0, cut), kMaxTestVariables);
     ASSERT_FALSE(decoded.ok()) << "truncation at " << cut << " accepted";
     EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
         << "truncation at " << cut << ": " << decoded.status().ToString();
@@ -139,7 +148,7 @@ TEST_P(CorruptionSweepTest, BitFlipAtEveryByteIsCorruption) {
   for (size_t i = 0; i < bytes.size(); ++i) {
     std::string flipped = bytes;
     flipped[i] = static_cast<char>(flipped[i] ^ (1 << (i % 8)));
-    auto decoded = DecodeGraphSnapshot(flipped);
+    auto decoded = DecodeGraphSnapshot(flipped, kMaxTestVariables);
     ASSERT_FALSE(decoded.ok()) << "bit flip at byte " << i << " accepted";
     EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
         << "bit flip at byte " << i << ": " << decoded.status().ToString();
@@ -165,7 +174,7 @@ TEST_F(RecoveryFileTest, WriteReadRoundTrip) {
   std::string path = TempPath("snap_roundtrip.snap");
   GraphSnapshot snap = MakeTestSnapshot(4);
   ASSERT_TRUE(WriteGraphSnapshot(snap, path).ok());
-  auto loaded = ReadGraphSnapshot(path);
+  auto loaded = ReadGraphSnapshot(path, kMaxTestVariables);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectSnapshotsEqual(snap, *loaded);
   // No temp file left behind.
@@ -173,7 +182,7 @@ TEST_F(RecoveryFileTest, WriteReadRoundTrip) {
 }
 
 TEST_F(RecoveryFileTest, MissingFileIsError) {
-  EXPECT_FALSE(ReadGraphSnapshot(TempPath("never_written.snap")).ok());
+  EXPECT_FALSE(ReadGraphSnapshot(TempPath("never_written.snap"), kMaxTestVariables).ok());
 }
 
 TEST_F(RecoveryFileTest, TruncatedFileIsCorruption) {
@@ -183,7 +192,7 @@ TEST_F(RecoveryFileTest, TruncatedFileIsCorruption) {
   ASSERT_NE(f, nullptr);
   std::fwrite(bytes.data(), 1, bytes.size() / 2, f);
   std::fclose(f);
-  auto loaded = ReadGraphSnapshot(path);
+  auto loaded = ReadGraphSnapshot(path, kMaxTestVariables);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
@@ -197,7 +206,7 @@ TEST_F(RecoveryFileTest, ShortWriteFailpointYieldsDetectablyTornFile) {
   ASSERT_TRUE(WriteGraphSnapshot(MakeTestSnapshot(6), path).ok());
   Failpoints::Instance().Reset();
   // ...and the reader refuses it instead of crashing.
-  auto loaded = ReadGraphSnapshot(path);
+  auto loaded = ReadGraphSnapshot(path, kMaxTestVariables);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
@@ -256,14 +265,14 @@ std::vector<std::string> Malformed(const std::string& value) {
 /// Rewrite `key` in the snapshot at `path`, starting from `original`.
 void WriteWithMeta(const std::string& original, const std::string& path,
                    const std::string& key, const std::string& value) {
-  auto snap = DecodeGraphSnapshot(original);
+  auto snap = DecodeGraphSnapshot(original, kMaxTestVariables);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   snap->meta[key] = value;
   ASSERT_TRUE(WriteGraphSnapshot(*snap, path).ok());
 }
 
 std::map<std::string, std::string> MetaOf(const std::string& bytes) {
-  auto snap = DecodeGraphSnapshot(bytes);
+  auto snap = DecodeGraphSnapshot(bytes, kMaxTestVariables);
   EXPECT_TRUE(snap.ok()) << snap.status().ToString();
   return snap.ok() ? snap->meta : std::map<std::string, std::string>();
 }
@@ -396,6 +405,82 @@ TEST_F(InferenceResumeTest, SamplingMaterializationResumesBitIdentically) {
         << "marginal " << v << " differs after resume";
   }
   std::remove(path.c_str());
+}
+
+TEST_F(InferenceResumeTest, ResumedMaterializationStoresTheSameWorlds) {
+  FactorGraph graph = MakeLearnGraph();
+  IncrementalOptions options;
+  options.full_burn_in = 50;
+  options.num_samples = 100;
+  options.seed = 31;
+  options.checkpoint_interval = 20;
+  const std::string clean_path = ::testing::TempDir() + "worlds_clean.snap";
+  const std::string path = ::testing::TempDir() + "worlds_resume.snap";
+  std::remove(clean_path.c_str());
+  std::remove(path.c_str());
+
+  IncrementalOptions clean_options = options;
+  clean_options.checkpoint_path = clean_path;
+  IncrementalInference clean(&graph, MaterializationStrategy::kSampling, clean_options);
+  ASSERT_TRUE(clean.Materialize().ok());
+
+  // Die at sweep 70: accumulation began at sweep 50, and the checkpoint
+  // at sweep 60 carries the first 10 worlds.
+  IncrementalOptions durable = options;
+  durable.checkpoint_path = path;
+  ASSERT_TRUE(
+      Failpoints::Instance().Configure("inference.sweep=error(skip=70)").ok());
+  IncrementalInference interrupted(&graph, MaterializationStrategy::kSampling, durable);
+  ASSERT_FALSE(interrupted.Materialize().ok());
+  Failpoints::Instance().Reset();
+  auto partial = ReadGraphSnapshot(path, /*max_variables=*/0);
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_EQ(partial->worlds.num_worlds, 10u);
+
+  IncrementalInference resumed(&graph, MaterializationStrategy::kSampling, durable);
+  ASSERT_TRUE(resumed.Materialize().ok());
+  auto clean_final = ReadGraphSnapshot(clean_path, /*max_variables=*/0);
+  auto resumed_final = ReadGraphSnapshot(path, /*max_variables=*/0);
+  ASSERT_TRUE(clean_final.ok() && resumed_final.ok());
+  EXPECT_EQ(resumed_final->worlds.num_worlds, 100u);
+  EXPECT_EQ(resumed_final->worlds.num_variables, graph.num_variables());
+  EXPECT_EQ(resumed_final->worlds.words, clean_final->worlds.words);
+
+  // The update that follows proposes from those worlds: bit-identical.
+  std::vector<uint32_t> changed;
+  const FactorGraph extended = ExtendGraph(graph, 3, 1.0, 77, &changed);
+  auto clean_update = clean.Update(&extended, changed);
+  auto resumed_update = resumed.Update(&extended, changed);
+  ASSERT_TRUE(clean_update.ok()) << clean_update.status().ToString();
+  ASSERT_TRUE(resumed_update.ok()) << resumed_update.status().ToString();
+  EXPECT_EQ(*resumed_update, *clean_update);
+  EXPECT_EQ(resumed.last_work_units(), clean.last_work_units());
+  std::remove(clean_path.c_str());
+  std::remove(path.c_str());
+}
+
+TEST_F(InferenceResumeTest, CheckpointWorldsMustMatchItsTallies) {
+  FactorGraph graph = MakeLearnGraph();
+  IncrementalOptions options;
+  options.full_burn_in = 50;
+  options.num_samples = 100;
+  options.seed = 31;
+  options.checkpoint_interval = 20;
+  options.checkpoint_path = ::testing::TempDir() + "worlds_mismatch.snap";
+  std::remove(options.checkpoint_path.c_str());
+  ASSERT_TRUE(
+      Failpoints::Instance().Configure("inference.sweep=error(skip=70)").ok());
+  IncrementalInference interrupted(&graph, MaterializationStrategy::kSampling, options);
+  ASSERT_FALSE(interrupted.Materialize().ok());
+  Failpoints::Instance().Reset();
+  auto snap = ReadGraphSnapshot(options.checkpoint_path, /*max_variables=*/0);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  snap->worlds.words.resize(snap->worlds.words.size() - snap->worlds.words_per_world());
+  --snap->worlds.num_worlds;  // one world short of the 10 accumulated sweeps
+  ASSERT_TRUE(WriteGraphSnapshot(*snap, options.checkpoint_path).ok());
+  IncrementalInference resumed(&graph, MaterializationStrategy::kSampling, options);
+  EXPECT_EQ(resumed.Materialize().code(), StatusCode::kInvalidArgument);
+  std::remove(options.checkpoint_path.c_str());
 }
 
 TEST_F(InferenceResumeTest, MalformedCheckpointNumbersAreRefused) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -13,6 +15,9 @@
 
 namespace dd {
 namespace {
+
+/// Every graph these tests decode has far fewer variables.
+constexpr uint64_t kMaxTestVariables = 1 << 16;
 
 // Little-endian append helpers for hand-crafting section contents.
 void PutU32(std::string* out, uint32_t v) {
@@ -462,14 +467,14 @@ TEST(MalformedSectionTest, GrbnDefectsRejected) {
 
   // Baseline sanity: the unmutated bytes decode.
   {
-    auto snap = DecodeGraphSnapshot(build([](std::string*) {}));
+    auto snap = DecodeGraphSnapshot(build([](std::string*) {}), kMaxTestVariables);
     ASSERT_TRUE(snap.ok()) << snap.status().ToString();
     ASSERT_TRUE(snap->has_graph);
     EXPECT_EQ(snap->graph.num_variables(), 2u);
     EXPECT_TRUE(snap->graph.is_evidence(1));
   }
   auto expect_corrupt = [&](auto mutate, const char* what) {
-    auto snap = DecodeGraphSnapshot(build(mutate));
+    auto snap = DecodeGraphSnapshot(build(mutate), kMaxTestVariables);
     EXPECT_FALSE(snap.ok()) << what;
     if (!snap.ok()) {
       EXPECT_EQ(snap.status().code(), StatusCode::kCorruption)
@@ -510,9 +515,78 @@ TEST(MalformedSectionTest, GrbnDefectsRejected) {
     PutU64(&g, 0);
     PutU64(&g, 0);
     PutU64(&g, 0);  // literal_offsets[0]
-    auto snap = DecodeGraphSnapshot(BuildContainer({{"GRBN", g}}));
+    auto snap = DecodeGraphSnapshot(BuildContainer({{"GRBN", g}}), kMaxTestVariables);
     EXPECT_FALSE(snap.ok());
   }
+  // More variables than the reader accepts.
+  {
+    auto snap = DecodeGraphSnapshot(build([](std::string*) {}), /*max_variables=*/1);
+    ASSERT_FALSE(snap.ok());
+    EXPECT_EQ(snap.status().code(), StatusCode::kCorruption) << snap.status().ToString();
+  }
+}
+
+TEST(GraphSnapshotFormatTest, HugeVariableCountIsRefusedBeforeAllocation) {
+  // A CRC-valid GRBN with no evidence, weights or factors declaring
+  // 2^32 - 1 variables: 48 bytes that would decode at about 140 GB.
+  std::string g;
+  PutU64(&g, 0xffffffffull);  // variables
+  for (int i = 0; i < 4; ++i) PutU64(&g, 0);  // evidence, weights, factors, literals
+  PutU64(&g, 0);  // literal_offsets[0]
+  const std::string bytes = BuildContainer({{"GRBN", g}, {"DICT", EncodeDict({})}});
+  rusage before{}, after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+  auto snap = DecodeGraphSnapshot(bytes, kMaxTestVariables);
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_EQ(snap.status().code(), StatusCode::kCorruption) << snap.status().ToString();
+  // ru_maxrss is in KiB.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);
+  // A reader that accepts no graph refuses any that declares a variable.
+  auto none = DecodeGraphSnapshot(bytes, /*max_variables=*/0);
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().code(), StatusCode::kCorruption);
+}
+
+TEST(GraphSnapshotFormatTest, WorldsRoundTripAndRejectStrayBits) {
+  GraphSnapshot snap;
+  snap.worlds.num_variables = 70;  // two words per world, 6 bits used in the second
+  std::vector<uint8_t> world(70, 0);
+  world[0] = world[63] = world[64] = world[69] = 1;
+  for (uint32_t v = 0; v < 70; v += 3) world[v] = static_cast<uint8_t>((v * 7) % 5 < 2);
+  snap.worlds.Append(world);
+  snap.worlds.Append(std::vector<uint8_t>(70, 1));
+  const std::string bytes = EncodeGraphSnapshot(snap);
+  auto decoded = DecodeGraphSnapshot(bytes, /*max_variables=*/0);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->worlds.num_worlds, 2u);
+  EXPECT_EQ(decoded->worlds.words, snap.worlds.words);
+  for (uint32_t v = 0; v < 70; ++v) {
+    EXPECT_EQ(decoded->worlds.Get(0, v), world[v] != 0) << v;
+    EXPECT_TRUE(decoded->worlds.Get(1, v)) << v;
+  }
+  EXPECT_EQ(EncodeGraphSnapshot(*decoded), bytes);
+
+  auto with_worlds = [](uint64_t num_variables, uint64_t num_worlds,
+                        const std::vector<uint64_t>& words) {
+    std::string payload;
+    PutU64(&payload, num_variables);
+    PutU64(&payload, num_worlds);
+    for (uint64_t w : words) PutU64(&payload, w);
+    SnapshotWriter writer;
+    writer.AddSection("WRLD", payload);
+    return DecodeGraphSnapshot(writer.Encode(), /*max_variables=*/0);
+  };
+  EXPECT_TRUE(with_worlds(70, 1, {1, 0x3f}).ok());
+  auto expect_corrupt = [](const Result<GraphSnapshot>& r, const char* what) {
+    ASSERT_FALSE(r.ok()) << what;
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << what;
+  };
+  expect_corrupt(with_worlds(70, 1, {1, 0x40}), "bit past the variable count");
+  expect_corrupt(with_worlds(70, 2, {1, 0}), "fewer words than declared");
+  expect_corrupt(with_worlds(70, 1, {1, 0, 0}), "more words than declared");
+  expect_corrupt(with_worlds(70, ~uint64_t{0}, {1, 0}), "world count overflows");
+  expect_corrupt(with_worlds(0, 1, {0}), "words for no variables");
 }
 
 // ---- Text oracle --------------------------------------------------------
@@ -538,7 +612,7 @@ TEST(GraphSnapshotFormatTest, BinaryMatchesTextOracle) {
 
   // It decodes to the graph the ddfg text oracle describes, and
   // decode→encode round-trips are byte-exact.
-  auto from_binary = DecodeGraphSnapshot(binary);
+  auto from_binary = DecodeGraphSnapshot(binary, kMaxTestVariables);
   ASSERT_TRUE(from_binary.ok()) << from_binary.status().ToString();
   EXPECT_EQ(SerializeGraph(from_binary->graph), SerializeGraph(snap.graph));
   EXPECT_EQ(EncodeGraphSnapshot(*from_binary), binary);
@@ -549,7 +623,7 @@ TEST(GraphSnapshotFormatTest, TextGraphSectionIsNotAGraph) {
   // container carrying it and no GRBN has no graph.
   SnapshotWriter writer;
   writer.AddSection("GRPH", SerializeGraph(MakeChainGraph(6, 0.5, 5)));
-  auto decoded = DecodeGraphSnapshot(writer.Encode());
+  auto decoded = DecodeGraphSnapshot(writer.Encode(), kMaxTestVariables);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_FALSE(decoded->has_graph);
 }
