@@ -5,8 +5,10 @@
 // several densities, the grounding join, and the mean-field update.
 //
 // After the google-benchmark run, main() performs a head-to-head
-// interpreted-vs-compiled comparison on an ads/spouse-scale graph and
-// writes BENCH_kernels.json (gated by ci/bench_gate.py).
+// interpreted-vs-compiled comparison on an ads/spouse-scale graph, times
+// the level sweep (DESIGN.md §18) on the same graph with one and four
+// team members, and writes BENCH_kernels.json (gated by
+// ci/bench_gate.py).
 
 #include <benchmark/benchmark.h>
 
@@ -21,7 +23,9 @@
 #include "query/evaluator.h"
 #include "storage/catalog.h"
 #include "testdata/synthetic_graphs.h"
+#include "util/fork_join.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace dd {
@@ -214,12 +218,50 @@ bool RunHeadToHead() {
 
   (void)sink;
 
+  // The level sweep on the same graph: GibbsSampler::Sweep with no pool
+  // (every level on the caller) and on a team of four (the caller plus a
+  // 3-worker pool). Same seed, so both chains are the same bits.
+  GibbsOptions gibbs_options;
+  gibbs_options.seed = 13;
+  auto median_level_sweep_ns = [&](ThreadPool* pool, size_t* levels,
+                                   std::vector<uint8_t>* chain) {
+    GibbsSampler sampler(&graph, gibbs_options);
+    if (!sampler.Init().ok()) return 0.0;
+    *levels = sampler.num_levels();
+    ForkJoinTeam team(pool);
+    sampler.Sweep(&team);  // warm: page in the streams, start the helpers
+    std::vector<double> seconds;
+    for (int s = 0; s < sweeps; ++s) {
+      Stopwatch clock;
+      sampler.Sweep(&team);
+      seconds.push_back(clock.Seconds());
+    }
+    std::sort(seconds.begin(), seconds.end());
+    *chain = sampler.assignment();
+    return seconds[sweeps / 2] * 1e9 / static_cast<double>(sampler.num_steps() / (sweeps + 1));
+  };
+  size_t levels = 0;
+  std::vector<uint8_t> chain_1t, chain_4t;
+  const double level_1t_ns = median_level_sweep_ns(nullptr, &levels, &chain_1t);
+  ThreadPool pool(3);
+  const double level_4t_ns = median_level_sweep_ns(&pool, &levels, &chain_4t);
+  const bool chains_agree = !chain_1t.empty() && chain_1t == chain_4t;
+  std::printf("level sweep: %zu levels, %.1f ns/delta on 1 member, %.1f on 4: "
+              "%.2fx   chains agree: %s\n",
+              levels, level_1t_ns, level_4t_ns, level_1t_ns / level_4t_ns,
+              chains_agree ? "yes" : "NO");
+
   BenchReport report("bench_kernels", "EXP-KERN head-to-head");
   report.Identity("deltas_agree", agree);
+  report.Identity("level_chains_agree", chains_agree);
   report.Lower("interpreted_ns_per_delta", interpreted_ns, "ns");
   report.Lower("compiled_ns_per_delta", compiled_ns, "ns", {.tolerance = 0.55});
   report.Higher("speedup", speedup, "x");
-  return report.Write("BENCH_kernels.json") && agree;
+  report.Lower("sweep_levels", static_cast<double>(levels), "count", {.tolerance = 0});
+  report.Lower("level_sweep_ns_per_delta_1t", level_1t_ns, "ns");
+  report.Lower("level_sweep_ns_per_delta_4t", level_4t_ns, "ns");
+  report.Higher("level_sweep_speedup_4t", level_1t_ns / level_4t_ns, "x");
+  return report.Write("BENCH_kernels.json") && agree && chains_agree;
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 # byte-identical across the pipeline and the per-layer runners, counts
 # repeated, served answers equal to their epoch — and "failed": 0, and
 # when its serving p99 at the nominal open-loop rate (`serve.p99_ms`) is
-# within a 100 ms ceiling.
+# within a 100 ms ceiling. The pipeline learns and samples on its pool
+# while the traced runners pass none, so "correct" also says that pooled
+# and poolless learning and inference publish the same bytes.
 # The first run builds perfbench into .bench_build/ (about a minute).
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -384,6 +384,7 @@ Status DeepDivePipeline::Run() {
         const bool learn = !has_run_ || options_.relearn_on_update;
         if (learn) {
           LearnOptions learn_opts = options_.learn;
+          learn_opts.pool = pool_.get();
           if (run_dir_ != nullptr) learn_opts.checkpoint_dir = run_dir_->path();
           Learner learner(grounder_->mutable_graph());
           DD_RETURN_IF_ERROR(learner.Learn(learn_opts));
@@ -409,6 +410,7 @@ Status DeepDivePipeline::Run() {
         chosen_strategy_ = PickStrategy();
         IncrementalOptions opts = options_.inference;
         opts.clamp_evidence = false;  // probabilities for labeled tuples too
+        opts.pool = pool_.get();
         if (run_dir_ != nullptr) {
           opts.checkpoint_path = run_dir_->InferenceSnapshotPath();
         }
@@ -488,6 +490,7 @@ Status DeepDivePipeline::RunInference() {
       chosen_strategy_ = PickStrategy();
       IncrementalOptions opts = options_.inference;
       opts.clamp_evidence = false;  // probabilities for labeled tuples too
+      opts.pool = pool_.get();
       if (run_dir_ != nullptr) {
         opts.checkpoint_path = run_dir_->InferenceSnapshotPath();
       }

@@ -359,6 +359,14 @@ Status RunShardWorkerImpl(const ShardWorkerOptions& options) {
   }
   state.graph = std::move(graph_snap.graph);
   DD_RETURN_IF_ERROR(state.graph.Finalize());
+  // The owned prefix sizes the free set below; a count from the wire
+  // past the subgraph would allocate for variables that do not exist.
+  if (state.assign.num_owned > state.graph.num_variables()) {
+    return Status::InvalidArgument(StrFormat(
+        "shard %u assignment owns %llu variables of a %zu-variable subgraph",
+        options.shard, static_cast<unsigned long long>(state.assign.num_owned),
+        state.graph.num_variables()));
+  }
   state.graph_crc = GraphFingerprint(state.graph);
   state.lr = state.assign.learning_rate;
 

@@ -10,6 +10,7 @@
 #include "inference/gibbs.h"
 #include "inference/meanfield.h"
 #include "util/failpoint.h"
+#include "util/fork_join.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -260,12 +261,13 @@ Status IncrementalInference::MaterializeSampling() {
                         worlds_.words_per_world());
   const bool durable = !options_.checkpoint_path.empty();
   const int resumed_at = done;
+  ForkJoinTeam team(options_.pool);  // joined on every return below
   for (; done < total_sweeps; ++done) {
     Status injected;
     DD_FAILPOINT(failpoints::kInferenceSweep, &injected);
     if (!injected.ok()) return injected;
 
-    sampler.Sweep();
+    sampler.Sweep(&team);
     if (done >= options_.full_burn_in) {
       sampler.Accumulate();
       worlds_.Append(sampler.assignment());
@@ -596,11 +598,14 @@ Status IncrementalInference::WarmStartUpdate(const FactorGraph* new_graph,
   worlds.num_variables = nv;
   worlds.words.reserve(static_cast<size_t>(std::max(options_.num_samples, 0)) *
                        worlds.words_per_world());
-  for (int i = 0; i < options_.update_burn_in; ++i) sampler.Sweep();
-  for (int i = 0; i < options_.num_samples; ++i) {
-    sampler.Sweep();
-    sampler.Accumulate();
-    worlds.Append(sampler.assignment());
+  {
+    ForkJoinTeam team(options_.pool);
+    for (int i = 0; i < options_.update_burn_in; ++i) sampler.Sweep(&team);
+    for (int i = 0; i < options_.num_samples; ++i) {
+      sampler.Sweep(&team);
+      sampler.Accumulate();
+      worlds.Append(sampler.assignment());
+    }
   }
   DD_ASSIGN_OR_RETURN(marginals_, sampler.Marginals());
   chain_state_ = sampler.assignment();

@@ -13,6 +13,7 @@
 namespace dd {
 
 class GibbsSampler;
+class ThreadPool;
 class TraceSpan;
 
 /// The two approximate-inference materialization strategies of §4.2.
@@ -46,6 +47,11 @@ struct IncrementalOptions {
   /// bit-identical marginals and worlds.
   std::string checkpoint_path;
   int checkpoint_interval = 100;
+  /// Optional pool (not owned): the wide Gibbs levels of Materialize()
+  /// and of the warm-start fallback fan out over a team resident on it
+  /// for that one call. Marginals, worlds and checkpoints are the same
+  /// bits without it.
+  ThreadPool* pool = nullptr;
 };
 
 /// Incremental maintenance of inference results. Materialize() runs full

@@ -10,6 +10,8 @@
 
 namespace dd {
 
+class ThreadPool;
+
 struct LearnOptions {
   int epochs = 200;
   double learning_rate = 0.1;
@@ -24,6 +26,10 @@ struct LearnOptions {
   /// resumed run is bit-identical to an uninterrupted one.
   std::string checkpoint_dir;
   int checkpoint_interval = 10;
+  /// Optional pool (not owned): both chains' wide Gibbs levels and the
+  /// gradient fan out over a team resident on it for one Learn() call.
+  /// Weights, chains and gradient norms are the same bits without it.
+  ThreadPool* pool = nullptr;
 };
 
 /// Contrastive-divergence-style weight learning, as in the DimmWitted
@@ -33,7 +39,10 @@ struct LearnOptions {
 /// For each weight the stochastic gradient is
 ///     Σ_{f with weight w} [ h_f(positive) − h_f(negative) ],
 /// i.e. E_data[Σh] − E_model[Σh] estimated from single samples.
-/// Fixed weights (Weight::is_fixed) are never updated.
+/// Fixed weights (Weight::is_fixed) are never updated. The registry
+/// counter dd.learner.gradient_factor_evals counts the gradient's
+/// factor evaluations: two (one per chain) per factor of a learnable
+/// weight per epoch.
 class Learner {
  public:
   explicit Learner(FactorGraph* graph) : graph_(graph) {}

@@ -276,6 +276,45 @@ TEST_F(DistFaultTest, ShardRefusesTextGraphAssignment) {
       << worker_status.ToString();
 }
 
+// ---- A shard refuses an owned count past its subgraph -----------------
+
+// A well-formed assignment for a 4-variable chain that claims 2^40
+// owned variables: the shard refuses it before sizing anything by it.
+TEST_F(DistFaultTest, ShardRefusesOwnedCountPastSubgraph) {
+  auto listener = WireListener::Listen("tcp:127.0.0.1:0");
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  ShardWorkerOptions options;
+  options.endpoint = listener->endpoint();
+  options.io_deadline_ms = 5000;
+  Status worker_status;
+  rusage before{}, after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+  std::thread worker([&] { worker_status = RunShardWorker(options); });
+
+  auto conn = listener->Accept(Deadline::AfterMillis(5000));
+  if (conn.ok()) {
+    auto hello = conn->RecvFrame(Deadline::AfterMillis(5000));
+    EXPECT_TRUE(hello.ok()) << hello.status().ToString();
+    GraphSnapshot snap;
+    snap.has_graph = true;
+    snap.graph = MakeChainGraph(4, 1.0, 3);
+    AssignMsg assign;
+    assign.num_owned = uint64_t{1} << 40;
+    assign.local_to_global = {0, 1, 2, 3};
+    assign.graph_snapshot = EncodeGraphSnapshot(snap);
+    EXPECT_TRUE(
+        conn->SendFrame(kMsgAssign, EncodeAssign(assign), Deadline::AfterMillis(5000))
+            .ok());
+  }
+  worker.join();
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  EXPECT_EQ(worker_status.code(), StatusCode::kInvalidArgument)
+      << worker_status.ToString();
+  // ru_maxrss is in KiB.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);
+}
+
 // ---- Kill a shard mid-epoch; resume bit-identically -------------------
 
 // skip=2 lands the crash at the third learning exchange; skip=8 lands

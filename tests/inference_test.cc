@@ -352,5 +352,35 @@ TEST(GibbsTest, RequiresFinalizedGraph) {
   EXPECT_FALSE(sampler.Init().ok());
 }
 
+// The level pass and the sweep index by free-set ids: one out of range,
+// repeated or out of order is refused, not skipped.
+TEST(GibbsTest, InitRefusesBadFreeSet) {
+  FactorGraph g = RandomGraph(56, 8, 12);
+  const std::vector<std::vector<uint32_t>> bad = {{0, 3, 8}, {1, 1, 2}, {4, 2}};
+  for (const auto& free_set : bad) {
+    GibbsOptions opts;
+    opts.free_set = &free_set;
+    GibbsSampler sampler(&g, opts);
+    EXPECT_EQ(sampler.Init().code(), StatusCode::kInvalidArgument);
+  }
+  const std::vector<uint32_t> good = {0, 3, 7};
+  GibbsOptions opts;
+  opts.free_set = &good;
+  EXPECT_TRUE(GibbsSampler(&g, opts).Init().ok());
+}
+
+TEST(GibbsTest, RestoreStateRefusesBadFreeSet) {
+  FactorGraph g = RandomGraph(57, 8, 12);
+  const std::vector<uint8_t> assignment(8, 0);
+  const std::vector<std::vector<uint32_t>> bad = {{2, uint32_t{1} << 30}, {5, 3}};
+  for (const auto& free_set : bad) {
+    GibbsOptions opts;
+    opts.free_set = &free_set;
+    GibbsSampler sampler(&g, opts);
+    EXPECT_EQ(sampler.RestoreState(assignment, {}, 0, RngState{1, 2}).code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 }  // namespace
 }  // namespace dd

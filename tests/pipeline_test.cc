@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/calibration.h"
 #include "core/error_analysis.h"
 #include "core/pipeline.h"
+#include "factor/io.h"
 #include "grounding/grounder.h"
 #include "inference/incremental.h"
+#include "serve/epoch.h"
 #include "testdata/spouse_app.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
@@ -112,14 +118,75 @@ TEST(PipelineTest, IncrementalUpdateAddsDocuments) {
   EXPECT_FALSE(marginals->empty());
 }
 
+uint64_t CounterValue(const char* name) {
+  return MetricsRegistry::Instance().GetCounter(name)->Value();
+}
+
+// Learning and inference fan out over the pipeline's pool (DESIGN.md
+// §18) without changing a bit: on a corpus large enough that every Gibbs
+// chain and the gradient fan out, the epochs published at 1 and 4
+// threads — after the full run and after an update batch — are the same
+// bytes.
+TEST(PipelineTest, EpochsAreByteIdenticalAtOneAndFourThreads) {
+  SpouseCorpusOptions corpus_opts;
+  corpus_opts.num_persons = 400;
+  corpus_opts.num_married_pairs = 120;
+  corpus_opts.num_sibling_pairs = 60;
+  corpus_opts.num_documents = 3050;
+  corpus_opts.seed = 7;
+  const SpouseCorpus corpus = GenerateSpouseCorpus(corpus_opts);
+
+  auto epochs = [&](size_t threads) {
+    PipelineOptions options = FastOptions();
+    options.learn.epochs = 8;
+    options.inference.full_burn_in = 8;
+    options.inference.num_samples = 16;
+    options.inference.update_burn_in = 4;
+    options.num_threads = threads;
+    auto pipeline = std::make_unique<DeepDivePipeline>(options);
+    SpouseAppOptions app;
+    EXPECT_TRUE(pipeline->LoadProgram(SpouseDdlog(app)).ok());
+    pipeline->RegisterExtractor(MakeSpouseExtractor(app));
+    LoadSpouseKb(pipeline.get(), corpus, app);
+    const std::string dir =
+        ::testing::TempDir() + "pipeline_epochs_t" + std::to_string(threads);
+    std::filesystem::remove_all(dir);  // epoch ids start at 1 on both sides
+    std::vector<std::string> out;
+    for (size_t end : {size_t{3000}, corpus.documents.size()}) {
+      for (size_t d = out.empty() ? 0 : 3000; d < end; ++d) {
+        EXPECT_TRUE(pipeline
+                        ->AddDocument(corpus.documents[d].first,
+                                      corpus.documents[d].second)
+                        .ok());
+      }
+      Status st = pipeline->Run();
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      st = pipeline->PublishEpoch(dir);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      auto bytes = ReadFileBytes(EpochDirectory(dir).EpochFilePath(out.size() + 1));
+      EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+      out.push_back(bytes.ok() ? *bytes : std::string());
+    }
+    std::filesystem::remove_all(dir);
+    return out;
+  };
+  const uint64_t fanned = CounterValue("dd.sampler.fanned_levels");
+  const std::vector<std::string> serial = epochs(1);
+  EXPECT_EQ(CounterValue("dd.sampler.fanned_levels"), fanned);
+  const std::vector<std::string> pooled = epochs(4);
+  EXPECT_GT(CounterValue("dd.sampler.fanned_levels"), fanned);
+  ASSERT_EQ(serial.size(), 2u);
+  ASSERT_EQ(pooled.size(), 2u);
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_FALSE(serial[i].empty());
+    EXPECT_TRUE(serial[i] == pooled[i]) << "epoch " << i + 1 << " differs";
+  }
+}
+
 double MeanAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
   double sum = 0;
   for (size_t i = 0; i < a.size(); ++i) sum += std::fabs(a[i] - b[i]);
   return a.empty() ? 0.0 : sum / static_cast<double>(a.size());
-}
-
-uint64_t CounterValue(const char* name) {
-  return MetricsRegistry::Instance().GetCounter(name)->Value();
 }
 
 // Small batches are answered by Metropolis–Hastings over the worlds the

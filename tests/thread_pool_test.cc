@@ -2,17 +2,22 @@
 // on: work decomposition independent of scheduling, queue drain on
 // shutdown, Status-based (exception-free) error propagation with a
 // deterministic winner, and safety under many concurrent producers.
+// ForkJoinTeam's contracts the level sweeps and the gradient depend on:
+// every chunk runs exactly once, the caller finishes a phase with no
+// helper available, and teardown drains helpers that never started.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "util/fork_join.h"
 #include "util/parallel.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -212,6 +217,130 @@ TEST(ParallelForTest, CoversRange) {
     visits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (size_t i = 0; i < visits.size(); ++i) EXPECT_EQ(visits[i].load(), 1);
+}
+
+// ---- ForkJoinTeam ------------------------------------------------------
+
+/// Holds every worker of a pool until Release(), so no helper can start.
+class PoolBlocker {
+ public:
+  explicit PoolBlocker(ThreadPool* pool) : pool_(pool) {
+    for (size_t i = 0; i < pool->num_threads(); ++i) {
+      pool->Submit([this] {
+        std::unique_lock<std::mutex> lock(mu_);
+        ++blocked_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      });
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return blocked_ == pool->num_threads(); });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+    pool_->Wait();
+  }
+
+ private:
+  ThreadPool* pool_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t blocked_ = 0;
+  bool released_ = false;
+};
+
+/// Runs phases of every shape on `team` and checks each item ran once,
+/// on a member in range.
+void ExpectEveryChunkOnce(ForkJoinTeam* team) {
+  for (size_t n : {0, 1, 7, 64, 1000, 4099}) {
+    for (size_t chunk : {1, 3, 64, 5000}) {
+      std::vector<std::atomic<int>> visits(n);
+      for (auto& v : visits) v.store(0);
+      std::atomic<bool> member_in_range{true};
+      team->Run(n, chunk, [&](size_t begin, size_t end, size_t member) {
+        if (member >= team->max_members() || end - begin > chunk) {
+          member_in_range.store(false);
+        }
+        for (size_t i = begin; i < end; ++i) {
+          visits[i].fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(visits[i].load(), 1) << "n=" << n << " chunk=" << chunk << " i=" << i;
+      }
+      EXPECT_TRUE(member_in_range.load());
+    }
+  }
+}
+
+TEST(ForkJoinTeamTest, EveryChunkRunsExactlyOnce) {
+  ForkJoinTeam inline_team(nullptr);
+  EXPECT_EQ(inline_team.max_members(), 1u);
+  ExpectEveryChunkOnce(&inline_team);
+  for (size_t threads : {1, 3, 8}) {
+    ThreadPool pool(threads);
+    ForkJoinTeam team(&pool);
+    EXPECT_EQ(team.max_members(), threads + 1);
+    for (int round = 0; round < 20; ++round) ExpectEveryChunkOnce(&team);
+  }
+}
+
+// Every worker is blocked, so no helper ever starts: the caller runs
+// each phase alone, and the team's teardown runs the queued helpers
+// (which see the stop and return) before the workers are released.
+TEST(ForkJoinTeamTest, PhasesFinishWithZeroHelpersAvailable) {
+  ThreadPool pool(3);
+  PoolBlocker blocker(&pool);
+  {
+    ForkJoinTeam team(&pool);
+    std::atomic<size_t> by_helpers{0};
+    for (int round = 0; round < 5; ++round) {
+      ExpectEveryChunkOnce(&team);
+      team.Run(100, 10, [&](size_t begin, size_t end, size_t member) {
+        if (member != 0) by_helpers.fetch_add(end - begin);
+      });
+    }
+    EXPECT_EQ(by_helpers.load(), 0u);
+  }
+  blocker.Release();
+}
+
+TEST(ForkJoinTeamTest, DestroysWithHelpersThatNeverStarted) {
+  ThreadPool pool(2);
+  PoolBlocker blocker(&pool);
+  {
+    ForkJoinTeam team(&pool);
+    std::atomic<int> chunks{0};
+    team.Run(8, 1, [&](size_t, size_t, size_t) { chunks.fetch_add(1); });
+    EXPECT_EQ(chunks.load(), 8);
+  }  // both helpers are still queued here
+  blocker.Release();
+  // A team that never fanned out submitted nothing.
+  { ForkJoinTeam idle(&pool); }
+}
+
+// Teams opened inside pool tasks of their own pool, more of them than
+// workers: each caller can finish alone, so none waits on another.
+TEST(ForkJoinTeamTest, TeamsInsidePoolTasksOfTheSamePool) {
+  ThreadPool pool(2);
+  std::atomic<size_t> items{0};
+  TaskGroup outer;
+  for (int t = 0; t < 4; ++t) {
+    pool.Submit(&outer, [&pool, &items] {
+      ForkJoinTeam team(&pool);
+      for (int phase = 0; phase < 50; ++phase) {
+        team.Run(256, 16, [&](size_t begin, size_t end, size_t) {
+          items.fetch_add(end - begin, std::memory_order_relaxed);
+        });
+      }
+    });
+  }
+  pool.WaitGroup(&outer);
+  EXPECT_EQ(items.load(), 4u * 50 * 256);
 }
 
 }  // namespace

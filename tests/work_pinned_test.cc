@@ -11,12 +11,21 @@
 //   dd.inference.update_accepted         update proposed and accepted
 //   dd.inference.update_fallbacks        updates that ran the warm start
 //
+// Learning adds one more, asserted exactly around Learn():
+//
+//   dd.learner.gradient_factor_evals  factor evaluations of the CD
+//                                     gradient (two per learnable
+//                                     factor per epoch)
+//
 // Work units are defined beside IncrementalInference::last_work_units().
 // The graphs are byte-identical at every grounding thread count
-// (grounding_pinned_test) and inference runs on one thread, so one pin
-// holds at 1, 2, 4 and 8 threads. A change that moves a pin changes how
-// much work inference does; re-record it only with that change, and list
-// the old and new values in CHANGES.md.
+// (grounding_pinned_test), and learning and inference get a pool of the
+// same thread count: work units count variable steps and factor
+// evaluations, not threads, so one pin holds at 1, 2, 4 and 8 threads.
+// A change that moves a pin changes how much work inference does;
+// re-record it only with that change, and list the old and new values in
+// CHANGES.md. These graphs are narrower than a level fan-out, so
+// dd.sampler.fanned_levels must not move on any of them.
 //
 // "spouse_small" adds 2 of 100 documents: a batch that small must take
 // the Metropolis–Hastings path, at most a fifth of a Materialize()'s work.
@@ -33,6 +42,7 @@
 #include "inference/learner.h"
 #include "kbc_workloads.h"
 #include "util/metrics.h"
+#include "util/thread_pool.h"
 
 namespace dd {
 namespace {
@@ -63,27 +73,29 @@ Counts Measure(Op op) {
   return after;
 }
 
-/// Per Update(): update_work_units, update_proposals, update_accepted,
+/// Learn() adds gradient_evals to gradient_factor_evals. Per Update():
+/// update_work_units, update_proposals, update_accepted,
 /// update_fallbacks. Materialize() adds to materialize_work_units only.
 struct Pinned {
   const char* workload;
+  uint64_t gradient_evals;
   uint64_t materialize;
   uint64_t batch[4];
   uint64_t undo[4];
 };
 
 const Pinned kPinned[] = {
-    {"logs", 5760, {10660, 100, 15, 1}, {9860, 100, 9, 1}},
-    {"spouse", 15960, {20240, 0, 0, 1}, {20240, 0, 0, 1}},
-    {"spouse_small", 46920, {6200, 100, 94, 0}, {500, 100, 100, 0}},
-    {"synthetic1", 3480, {3630, 0, 0, 1}, {3630, 0, 0, 1}},
-    {"synthetic2", 5040, {4950, 0, 0, 1}, {4950, 0, 0, 1}},
-    {"synthetic3", 4440, {4400, 0, 0, 1}, {4400, 0, 0, 1}},
-    {"synthetic4", 2640, {2640, 0, 0, 1}, {2640, 0, 0, 1}},
-    {"synthetic5", 3240, {3080, 0, 0, 1}, {3080, 0, 0, 1}},
-    {"synthetic6", 3960, {4180, 0, 0, 1}, {4180, 0, 0, 1}},
-    {"synthetic7", 3480, {3190, 0, 0, 1}, {3190, 0, 0, 1}},
-    {"synthetic8", 4680, {4510, 0, 0, 1}, {4510, 0, 0, 1}},
+    {"logs", 880, 5760, {10660, 100, 15, 1}, {9860, 100, 9, 1}},
+    {"spouse", 18680, 15960, {20240, 0, 0, 1}, {20240, 0, 0, 1}},
+    {"spouse_small", 61160, 46920, {6200, 100, 94, 0}, {500, 100, 100, 0}},
+    {"synthetic1", 2560, 3480, {3630, 0, 0, 1}, {3630, 0, 0, 1}},
+    {"synthetic2", 4600, 5040, {4950, 0, 0, 1}, {4950, 0, 0, 1}},
+    {"synthetic3", 3220, 4440, {4400, 0, 0, 1}, {4400, 0, 0, 1}},
+    {"synthetic4", 5420, 2640, {2640, 0, 0, 1}, {2640, 0, 0, 1}},
+    {"synthetic5", 3420, 3240, {3080, 0, 0, 1}, {3080, 0, 0, 1}},
+    {"synthetic6", 2100, 3960, {4180, 0, 0, 1}, {4180, 0, 0, 1}},
+    {"synthetic7", 5740, 3480, {3190, 0, 0, 1}, {3190, 0, 0, 1}},
+    {"synthetic8", 8220, 4680, {4510, 0, 0, 1}, {4510, 0, 0, 1}},
 };
 
 class WorkPinnedTest : public ::testing::TestWithParam<std::tuple<Pinned, size_t>> {};
@@ -96,10 +108,18 @@ TEST_P(WorkPinnedTest, CountsMatchRecorded) {
   const testing_workloads::KbcWorkload& workload = (*grounding)->workload;
   Grounder& grounder = *(*grounding)->grounder;
 
+  ThreadPool pool(threads);
+  Counter* gradient_evals =
+      MetricsRegistry::Instance().GetCounter("dd.learner.gradient_factor_evals");
+  Counter* fanned = MetricsRegistry::Instance().GetCounter("dd.sampler.fanned_levels");
+  const uint64_t fanned_before = fanned->Value();
   LearnOptions learn;
   learn.epochs = 10;
+  learn.pool = &pool;
+  const uint64_t evals_before = gradient_evals->Value();
   Status st = Learner(grounder.mutable_graph()).Learn(learn);
   ASSERT_TRUE(st.ok()) << st.ToString();
+  const uint64_t evals = gradient_evals->Value() - evals_before;
   grounder.SaveWeights();
 
   // The pipeline's setting: evidence is sampled too.
@@ -108,6 +128,7 @@ TEST_P(WorkPinnedTest, CountsMatchRecorded) {
   options.num_samples = 100;
   options.update_burn_in = 10;
   options.clamp_evidence = false;
+  options.pool = &pool;
   IncrementalInference engine(&grounder.graph(), MaterializationStrategy::kSampling,
                               options);
   const Counts materialize = Measure([&] { st = engine.Materialize(); });
@@ -136,8 +157,11 @@ TEST_P(WorkPinnedTest, CountsMatchRecorded) {
            std::to_string(c.v[3]) + ", " + std::to_string(c.v[4]) + "}";
   };
   const std::string actual = "{\"" + std::string(pinned.workload) + "\", " +
+                             std::to_string(evals) + ", " +
                              std::to_string(materialize.v[0]) + ", " + row(updates[0]) +
                              ", " + row(updates[1]) + "},";
+  EXPECT_EQ(evals, pinned.gradient_evals) << actual;
+  EXPECT_EQ(fanned->Value(), fanned_before) << "a level fanned out";
   EXPECT_EQ(materialize.v[0], pinned.materialize) << actual;
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(updates[0].v[i + 1], pinned.batch[i]) << kCounters[i + 1] << " " << actual;
